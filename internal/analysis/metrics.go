@@ -15,6 +15,8 @@ import (
 var (
 	mInflight  = telemetry.Default().Gauge("http.inflight")
 	mBatchSize = telemetry.Default().Histogram("http.diagnose_batch.size", telemetry.SizeBuckets)
+	// mEncodeErrors counts responses that failed JSON encoding (writeJSON).
+	mEncodeErrors = telemetry.Default().Counter("http.encode_errors")
 )
 
 // routeMetrics is one route's instrumentation bundle.

@@ -3,7 +3,9 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -142,5 +144,33 @@ func TestMetricsEndpointMethod(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /v1/metrics status %d", resp.StatusCode)
+	}
+}
+
+// TestWriteJSONEncodeFailure pins the encode-error path: a value JSON
+// cannot encode (a NaN field) must yield a counted 500 with a JSON error
+// body, not a 200 with an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	before := mEncodeErrors.Value()
+	rec := httptest.NewRecorder()
+	writeJSON(rec, struct{ Score float64 }{math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("error body %q not a JSON error (%v)", rec.Body.String(), err)
+	}
+	if got := mEncodeErrors.Value() - before; got != 1 {
+		t.Fatalf("encode errors counted %d times, want 1", got)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, struct{ Score float64 }{0.5})
+	if rec.Code != http.StatusOK || rec.Body.String() != "{\"Score\":0.5}\n" {
+		t.Fatalf("encodable value: %d %q", rec.Code, rec.Body.String())
 	}
 }

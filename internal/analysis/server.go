@@ -241,10 +241,18 @@ func (s *Server) SetSpecialized(serviceID int, m *core.Model) error {
 	return s.engine.Registry().SetSpecialized(serviceID, m)
 }
 
-// writeJSON writes v as a JSON response.
+// writeJSON writes v as a JSON response. v is marshalled before anything
+// is written, so a value JSON cannot encode (a NaN float, say) becomes a
+// counted 500 with a JSON error body instead of a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	body, err := json.Marshal(v)
+	if err != nil {
+		mEncodeErrors.Inc()
+		body, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
+		w.WriteHeader(http.StatusInternalServerError)
+	}
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // Handler returns the service's HTTP handler:

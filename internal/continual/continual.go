@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"diagnet/internal/core"
-	"diagnet/internal/dataset"
 	"diagnet/internal/drift"
 	"diagnet/internal/durable"
 	"diagnet/internal/probe"
@@ -108,7 +107,8 @@ type Config struct {
 	// internal/durable; the cycle counter survives restarts so candidate
 	// version names never collide.
 	StateDir string
-	// Fsync selects the transition journal's durability (default batch).
+	// Fsync selects the transition journal's durability (default
+	// durable.FsyncAlways, the zero value).
 	Fsync durable.FsyncPolicy
 	// Seed drives export splits and the evaluator reservoir (default 1).
 	Seed int64
@@ -683,18 +683,6 @@ func (c *Controller) checkWatchdog() {
 		c.wdMu.Unlock()
 		c.transition(StateCollecting, "watch window passed clean")
 	}
-}
-
-// ExportDataset lifts the store onto the active model's layout — the
-// offline-export hook (dataset streaming) for operators pulling live
-// buffers out of a running daemon.
-func (c *Controller) ExportDataset() (*dataset.Dataset, error) {
-	bundle, _, err := c.cfg.Engine.Registry().ActiveBundle()
-	if err != nil {
-		return nil, err
-	}
-	train, holdout := c.cfg.Store.Export(bundle.General.FullLayout, 0, c.cfg.Seed)
-	return train.Concat(holdout), nil
 }
 
 // Bundle re-exports core.Bundle for TrainFunc implementors.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"diagnet/internal/mat"
 	"diagnet/internal/nn"
 	"diagnet/internal/probe"
 	"diagnet/internal/telemetry"
@@ -45,64 +46,75 @@ func (d *Diagnosis) Ranked() []int {
 
 // Diagnose runs the full DiagNet pipeline on a raw measurement vector
 // collected under `layout` (which may contain landmarks the model never
-// saw during training — the whole point of root-cause extensibility).
+// saw during training — the whole point of root-cause extensibility). It
+// is the one-sample case of DiagnoseBatch.
 func (m *Model) Diagnose(features []float64, layout probe.Layout) *Diagnosis {
-	return m.DiagnoseContext(context.Background(), features, layout)
+	return m.DiagnoseBatch(context.Background(), [][]float64{features}, layout)[0]
 }
 
-// DiagnoseContext is Diagnose carrying a request context: when the
-// context holds an active trace span, the pipeline records a
-// "core.diagnose" child span with per-stage children at the same
-// boundaries as the telemetry StageClock, and the total-latency
+// DiagnoseBatch diagnoses b samples that share one layout with one fused
+// forward and input-gradient pass over the b×n batch: the network's weight
+// matrices are streamed from memory once per batch instead of once per
+// sample, which is where the serving engine's micro-batching throughput
+// comes from. Rows are independent, so row i equals
+// Diagnose(features[i], layout) bit for bit. Results are in input order.
+//
+// DiagnoseBatch only reads the model, so it is safe for concurrent use.
+// When ctx holds an active trace span (the serving engine passes the
+// micro-batch span), the pass records a "core.diagnose" child span with
+// per-stage children at the StageClock boundaries, and the total-latency
 // histogram captures the trace ID as its tail exemplar.
-func (m *Model) DiagnoseContext(ctx context.Context, features []float64, layout probe.Layout) *Diagnosis {
-	if len(features) != layout.NumFeatures() {
-		panic("core: feature vector does not match layout")
+func (m *Model) DiagnoseBatch(ctx context.Context, features [][]float64, layout probe.Layout) []*Diagnosis {
+	b, n := len(features), layout.NumFeatures()
+	if b == 0 {
+		return nil
 	}
-	mDiagnoses.Inc()
+	for _, f := range features {
+		if len(f) != n {
+			panic("core: feature vector does not match layout")
+		}
+	}
+	mDiagnoses.Add(int64(b))
 	_, span := tracing.StartSpan(ctx, "core.diagnose")
-	span.SetAttr("features", layout.NumFeatures())
+	span.SetAttr("batch.size", b)
+	span.SetAttr("features", n)
 	stages := span.Stages()
 	clock := telemetry.StartStages()
-	normed := m.Norm.Apply(features, layout)
+
+	x := mat.New(b, n)
+	for i, f := range features {
+		m.Norm.ApplyInto(f, layout, x.Row(i))
+	}
 	clock.Mark(mStageNormalize)
 	stages.Mark("core.stage.normalize")
 
-	// Steps ①–④: coarse prediction; step ⑤: one backpropagation pass of
-	// the ideal-label loss L* down to the inputs (§III-E).
-	grad, coarse := m.Net.InputGradient(normed, -1)
-	d := m.postprocess(grad, coarse, features, layout, nil, clock, stages)
+	// Steps ①–④ for the whole batch, then step ⑤ — one backpropagation of
+	// each sample's arg-max ideal-label loss L* down to the inputs
+	// (§III-E).
+	grads, probs := m.Net.InputGradientBatch(x, nil)
+
+	// Stage telemetry granularity under batching: normalize and total are
+	// marked once per fused pass, while the per-row stages mark every row
+	// (the first row's forward_gradient lap absorbs the batch's shared
+	// network pass). Stage spans mirror that for the first row only — one
+	// set of stage children per fused pass keeps traces readable.
+	out := make([]*Diagnosis, b)
+	for i := range out {
+		rowStages := stages
+		if i > 0 {
+			rowStages = nil
+		}
+		out[i] = m.postprocess(grads.Row(i), probs.Row(i), features[i], layout, clock, rowStages)
+	}
 	clock.DoneExemplar(mDiagnoseTotal, span.TraceID())
 	span.End()
-	return d
-}
-
-// scratch holds reusable per-worker buffers for the pipeline stages after
-// the network passes. A nil *scratch means "allocate fresh" — the
-// single-shot Diagnose path — while serving Sessions keep one scratch per
-// worker so the hot path stops allocating intermediates.
-type scratch struct {
-	normed  []float64 // normalized input (batch: b×n backing array)
-	fullVec []float64 // aux forest full-layout projection
-	scores  []float64 // aux forest full-layout cause scores
-	aux     []float64 // aux forest scores on the inference layout
-	targets []int     // per-row ideal labels for the batched pass
-}
-
-// grow returns buf resized to n, reusing capacity when possible.
-func grow(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+	return out
 }
 
 // postprocess turns one sample's input gradient and coarse distribution
 // into a Diagnosis: Eq. 1 attention, Algorithm 1 weighting and §III-F
-// ensemble averaging. grad and coarse are consumed (the attention and
-// output slices are freshly allocated — a Diagnosis outlives any scratch);
-// sc may be nil, clock and stages may be nil.
-func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layout, sc *scratch, clock *telemetry.StageClock, stages *tracing.StageSpans) *Diagnosis {
+// ensemble averaging. coarse is kept by the Diagnosis; stages may be nil.
+func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layout, clock *telemetry.StageClock, stages *tracing.StageSpans) *Diagnosis {
 	fam := probe.Family(nn.Argmax(coarse))
 
 	// Equation 1: γ̂_j = |∇_j| / Σ|∇_k|.
@@ -137,18 +149,7 @@ func (m *Model) postprocess(grad, coarse, features []float64, layout probe.Layou
 			wU += tuned[j]
 		}
 	}
-	var fullVec, scores, aux []float64
-	if sc != nil {
-		sc.fullVec = grow(sc.fullVec, m.FullLayout.NumFeatures())
-		sc.scores = grow(sc.scores, m.Aux.Causes())
-		sc.aux = grow(sc.aux, layout.NumFeatures())
-		fullVec, scores, aux = sc.fullVec, sc.scores, sc.aux
-	} else {
-		fullVec = make([]float64, m.FullLayout.NumFeatures())
-		scores = make([]float64, m.Aux.Causes())
-		aux = make([]float64, layout.NumFeatures())
-	}
-	m.auxScoresInto(features, layout, fullVec, scores, aux)
+	aux := m.auxScores(features, layout)
 	final := make([]float64, len(tuned))
 	for j := range final {
 		final[j] = wU*tuned[j] + (1-wU)*aux[j]
@@ -207,24 +208,14 @@ func scoreWeighting(gamma, coarse []float64, layout probe.Layout, fam probe.Fami
 }
 
 // auxScores evaluates the auxiliary forest on the sample and re-indexes
-// its full-layout scores onto the inference layout.
+// its full-layout scores onto the inference layout. Landmarks absent from
+// the inference layout are zero-filled, mirroring the extensible-forest
+// missing-value policy.
 func (m *Model) auxScores(features []float64, layout probe.Layout) []float64 {
-	fullVec := make([]float64, m.FullLayout.NumFeatures())
+	full := m.FullLayout
+	fullVec := make([]float64, full.NumFeatures())
 	scores := make([]float64, m.Aux.Causes())
 	out := make([]float64, layout.NumFeatures())
-	return m.auxScoresInto(features, layout, fullVec, scores, out)
-}
-
-// auxScoresInto is auxScores writing through caller-provided buffers:
-// fullVec (full-layout projection scratch), scores (full-layout cause
-// scores) and out (per-feature scores on the inference layout).
-// Landmarks absent from the inference layout are zero-filled, mirroring
-// the extensible-forest missing-value policy.
-func (m *Model) auxScoresInto(features []float64, layout probe.Layout, fullVec, scores, out []float64) []float64 {
-	full := m.FullLayout
-	for i := range fullVec {
-		fullVec[i] = 0
-	}
 	for pos, region := range full.Landmarks {
 		if lp := layout.LandmarkPos(region); lp >= 0 {
 			for mt := 0; mt < int(probe.NumMetrics); mt++ {
@@ -252,9 +243,18 @@ func (m *Model) auxScoresInto(features []float64, layout probe.Layout, fullVec, 
 // CoarsePredict returns only the coarse family distribution for a raw
 // sample (step ④), without running attention or the ensemble.
 func (m *Model) CoarsePredict(features []float64, layout probe.Layout) []float64 {
-	normed := m.Norm.Apply(features, layout)
-	x := make([]float64, len(normed))
-	copy(x, normed)
-	logits := m.Net.Forward(matFromRow(x))
+	logits := m.Net.Forward(matFromRow(m.Norm.Apply(features, layout)))
 	return nn.Softmax(logits).Row(0)
+}
+
+// Session forwards to Model.DiagnoseBatch. It exists only because the
+// frozen benchmark in perfbench/layers.go calls it; use the Model directly.
+type Session struct{ m *Model }
+
+// NewSession returns a Session forwarding to m.
+func (m *Model) NewSession() *Session { return &Session{m} }
+
+// DiagnoseBatch is Model.DiagnoseBatch without a context.
+func (s *Session) DiagnoseBatch(f [][]float64, l probe.Layout) []*Diagnosis {
+	return s.m.DiagnoseBatch(context.Background(), f, l)
 }

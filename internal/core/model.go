@@ -13,7 +13,8 @@ import (
 
 // Model is a trained DiagNet instance. A general model diagnoses every
 // service; Specialize derives per-service variants that share the frozen
-// convolution (§IV-F).
+// convolution (§IV-F). Inference only reads a Model, so one instance
+// serves any number of concurrent Diagnose/DiagnoseBatch callers.
 type Model struct {
 	Cfg Config
 	// TrainLayout is the landmark layout available at training time (the

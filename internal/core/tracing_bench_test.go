@@ -30,19 +30,20 @@ func BenchmarkDiagnoseTracing(b *testing.B) {
 	b.Run("sampled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.DiagnoseContext(context.Background(), x, full)
+			m.Diagnose(x, full)
 		}
 	})
 }
 
-// TestDiagnoseContextRecordsTrace pins the core span topology: one traced
-// call yields a retrievable trace whose core.diagnose span carries the
+// TestDiagnoseContextRecordsTrace pins the core span topology: one call
+// whose context carries a span yields a retrievable trace whose core.diagnose span carries the
 // four pipeline stage children.
 func TestDiagnoseContextRecordsTrace(t *testing.T) {
 	m := syntheticModel(6, []int{24, 12})
 	_, span := tracing.StartSpan(context.Background(), "test.root")
 	id := span.TraceID()
-	m.DiagnoseContext(tracing.ContextWithSpan(context.Background(), span), goldenInput(), probe.FullLayout())
+	ctx := tracing.ContextWithSpan(context.Background(), span)
+	m.DiagnoseBatch(ctx, [][]float64{goldenInput()}, probe.FullLayout())
 	span.End()
 
 	rec, ok := tracing.Default().Trace(id)

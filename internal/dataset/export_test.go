@@ -3,7 +3,10 @@ package dataset
 import (
 	"bytes"
 	"encoding/csv"
+	"strings"
 	"testing"
+
+	"diagnet/internal/probe"
 )
 
 func TestExportCSV(t *testing.T) {
@@ -38,5 +41,29 @@ func TestExportCSV(t *testing.T) {
 		if !d.Samples[i].Degraded && rec[5] != "" {
 			t.Fatal("nominal row with cause name")
 		}
+	}
+}
+
+// TestExportCSVUnknownClient pins the live-sample edge: a sample with an
+// unknown client region (-1) and unknown cause exports with empty cells
+// instead of panicking.
+func TestExportCSVUnknownClient(t *testing.T) {
+	layout := probe.FullLayout()
+	d := &Dataset{Layout: layout}
+	d.Append(Sample{
+		Features: make([]float64, layout.NumFeatures()),
+		Service:  2, Client: -1, Cause: -1,
+		FaultRegion: -1, FaultKind: -1,
+	})
+	var buf bytes.Buffer
+	if err := d.ExportCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want header + 1 row, got %d lines", len(lines))
+	}
+	if !strings.HasPrefix(lines[1], "2,,") {
+		t.Fatalf("unknown client not exported empty: %q", lines[1])
 	}
 }

@@ -67,22 +67,14 @@ type forestWire struct {
 	Causes  int // only used by Extensible
 }
 
-// Save writes the forest with gob.
-func (f *Forest) Save(w io.Writer) error {
-	wire := forestWire{Classes: f.classes}
+// wire returns the forest's serialized form; causes is only used by
+// Extensible.
+func (f *Forest) wire(causes int) forestWire {
+	w := forestWire{Classes: f.classes, Causes: causes}
 	for _, t := range f.trees {
-		wire.Trees = append(wire.Trees, t.flatten())
+		w.Trees = append(w.Trees, t.flatten())
 	}
-	return gob.NewEncoder(w).Encode(wire)
-}
-
-// LoadForest reads a forest written by Save.
-func LoadForest(r io.Reader) (*Forest, error) {
-	var wire forestWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("forest: load: %w", err)
-	}
-	return wire.toForest()
+	return w
 }
 
 func (wire forestWire) toForest() (*Forest, error) {
@@ -102,11 +94,7 @@ func (wire forestWire) toForest() (*Forest, error) {
 
 // Save writes the extensible wrapper with gob.
 func (e *Extensible) Save(w io.Writer) error {
-	wire := forestWire{Classes: e.forest.classes, Causes: e.causes}
-	for _, t := range e.forest.trees {
-		wire.Trees = append(wire.Trees, t.flatten())
-	}
-	return gob.NewEncoder(w).Encode(wire)
+	return gob.NewEncoder(w).Encode(e.forest.wire(e.causes))
 }
 
 // LoadExtensible reads an extensible wrapper written by Save.

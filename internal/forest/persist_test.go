@@ -2,20 +2,27 @@ package forest
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 )
 
+// TestForestSaveLoadRoundTrip round-trips a plain forest through the gob
+// wire format that Extensible.Save writes.
 func TestForestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, labels := gaussianBlobs(rng, 200)
 	f := Fit(x, labels, 2, Config{Trees: 8, Tree: TreeConfig{MaxDepth: 6}, Seed: 3})
 
 	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(f.wire(0)); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadForest(&buf)
+	var wire forestWire
+	if err := gob.NewDecoder(&buf).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := wire.toForest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +66,6 @@ func TestExtensibleSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadForestGarbage(t *testing.T) {
-	if _, err := LoadForest(bytes.NewBufferString("nope")); err == nil {
-		t.Fatal("want error")
-	}
 	if _, err := LoadExtensible(bytes.NewBufferString("nope")); err == nil {
 		t.Fatal("want error")
 	}

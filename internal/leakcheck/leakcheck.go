@@ -95,13 +95,6 @@ func IgnoreAnyFunction(f string) Option {
 	return func(o *opts) { o.ignoreAny = append(o.ignoreAny, f) }
 }
 
-// WithRetryDeadline bounds the total retry window (default 2s). Leak
-// checks race goroutine teardown, so the window must comfortably exceed
-// the slowest legitimate exit path in the suite.
-func WithRetryDeadline(d time.Duration) Option {
-	return func(o *opts) { o.maxWait = d }
-}
-
 // NoHTTPCleanup disables the default closing of http.DefaultTransport's
 // idle connections before the first snapshot. The cleanup exists because
 // tests that exercised a server through the default transport otherwise

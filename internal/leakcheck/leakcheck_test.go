@@ -6,6 +6,12 @@ import (
 	"time"
 )
 
+// withRetryDeadline shortens the retry window (default 2s) so checks
+// that expect a report fail fast.
+func withRetryDeadline(d time.Duration) Option {
+	return func(o *opts) { o.maxWait = d }
+}
+
 func TestFindCleanProcess(t *testing.T) {
 	if err := Find(); err != nil {
 		t.Fatalf("clean process reported a leak: %v", err)
@@ -15,7 +21,7 @@ func TestFindCleanProcess(t *testing.T) {
 func TestFindDetectsLeak(t *testing.T) {
 	stop := make(chan struct{})
 	go func() { <-stop }() // deliberate leak for the duration of the check
-	err := Find(WithRetryDeadline(50 * time.Millisecond))
+	err := Find(withRetryDeadline(50 * time.Millisecond))
 	if err == nil {
 		close(stop)
 		t.Fatal("Find missed a parked goroutine")
@@ -44,7 +50,7 @@ func TestIgnoreCurrent(t *testing.T) {
 	go func() { <-stop }()
 	time.Sleep(5 * time.Millisecond) // let it park
 	opt := IgnoreCurrent()
-	if err := Find(opt, WithRetryDeadline(50*time.Millisecond)); err != nil {
+	if err := Find(opt, withRetryDeadline(50*time.Millisecond)); err != nil {
 		t.Fatalf("IgnoreCurrent did not absorb the pre-existing goroutine: %v", err)
 	}
 }
@@ -55,7 +61,7 @@ func TestIgnoreAnyFunction(t *testing.T) {
 	go parkedHelper(stop)
 	err := Find(
 		IgnoreAnyFunction("diagnet/internal/leakcheck.parkedHelper"),
-		WithRetryDeadline(50*time.Millisecond),
+		withRetryDeadline(50*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatalf("IgnoreAnyFunction did not filter the helper: %v", err)
@@ -74,7 +80,7 @@ func TestAllowlist(t *testing.T) {
 		allowList = nil
 		allowMu.Unlock()
 	}()
-	if err := Find(WithRetryDeadline(50 * time.Millisecond)); err != nil {
+	if err := Find(withRetryDeadline(50 * time.Millisecond)); err != nil {
 		t.Fatalf("allowlisted goroutine still reported: %v", err)
 	}
 }

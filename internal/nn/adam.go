@@ -36,12 +36,6 @@ type Adam struct {
 	v    map[*Param]*mat.Matrix
 }
 
-// NewAdam returns Adam with the customary defaults (lr 0.001, β₁ 0.9,
-// β₂ 0.999, ε 1e-8).
-func NewAdam() *Adam {
-	return &Adam{LR: 0.001, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
-}
-
 // Step applies one update to every non-frozen parameter.
 func (o *Adam) Step(params []*Param) {
 	if o.m == nil {

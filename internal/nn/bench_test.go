@@ -38,7 +38,7 @@ func BenchmarkLandPoolForward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lp.Forward(x)
+		lp.Forward(x, false)
 	}
 }
 
@@ -46,12 +46,12 @@ func BenchmarkLandPoolBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	lp := NewLandPool(5, 24, 5, DefaultPoolOps(), rng)
 	x, _ := benchBatch(rng, 64, 10)
-	out := lp.Forward(x)
+	out, cache := lp.Forward(x, false)
 	dout := out.Clone()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lp.Backward(dout)
+		lp.Backward(cache, dout, false)
 	}
 }
 
@@ -76,9 +76,9 @@ func BenchmarkTableITrainStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.ZeroGrads()
-		logits := net.Forward(x)
+		logits, caches := net.forward(x, true)
 		_, dlogits := ce.Loss(logits, labels)
-		net.Backward(dlogits)
+		net.backward(caches, dlogits, true)
 		tr.Opt.Step(net.Params())
 	}
 }

@@ -7,13 +7,20 @@ import (
 	"diagnet/internal/mat"
 )
 
-// Layer is one differentiable stage of a network. Forward consumes a batch
-// (one sample per row) and Backward consumes the gradient of the loss with
-// respect to Forward's output, accumulates parameter gradients, and returns
-// the gradient with respect to Forward's input.
+// Layer is one differentiable stage of a network. Layers hold only their
+// parameters: every per-call intermediate travels in the cache Forward
+// returns, so concurrent passes over one layer share nothing mutable.
 type Layer interface {
-	Forward(x *mat.Matrix) *mat.Matrix
-	Backward(dout *mat.Matrix) *mat.Matrix
+	// Forward maps a batch (one sample per row) to the layer's output and
+	// returns the cache Backward needs. train selects training-time
+	// behaviour (dropout masks).
+	Forward(x *mat.Matrix, train bool) (y *mat.Matrix, cache any)
+	// Backward maps the loss gradient with respect to one Forward call's
+	// output to the gradient with respect to that call's input. Only
+	// under train — the training sink — are parameter gradients
+	// accumulated into each Param.Grad; otherwise Backward writes nothing
+	// but its result.
+	Backward(cache any, dout *mat.Matrix, train bool) *mat.Matrix
 	Params() []*Param
 	// Spec describes the layer for serialization and cloning.
 	Spec() LayerSpec
@@ -24,8 +31,6 @@ type Dense struct {
 	In, Out int
 	W       *Param // In×Out
 	B       *Param // 1×Out
-
-	x *mat.Matrix // cached input for backward
 }
 
 // NewDense creates a Dense layer with Glorot-uniform weights and zero bias.
@@ -40,29 +45,26 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward computes x·W + b for a batch x (n×In).
-func (d *Dense) Forward(x *mat.Matrix) *mat.Matrix {
+// Forward computes x·W + b for a batch x (n×In); the cache is x itself.
+func (d *Dense) Forward(x *mat.Matrix, _ bool) (*mat.Matrix, any) {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense.Forward: input width %d, want %d", x.Cols, d.In))
 	}
-	d.x = x
 	y := mat.Mul(nil, x, d.W.Value)
 	y.AddRowVector(d.B.Value.Data)
-	return y
+	return y, x
 }
 
-// Backward accumulates dW = xᵀ·dout and db = colsum(dout), and returns
-// dx = dout·Wᵀ.
-func (d *Dense) Backward(dout *mat.Matrix) *mat.Matrix {
-	if d.x == nil {
-		panic("nn: Dense.Backward before Forward")
-	}
-	dw := mat.MulT1(nil, d.x, dout)
-	d.W.Grad.AddInPlace(dw)
-	for i := 0; i < dout.Rows; i++ {
-		row := dout.Row(i)
-		for j, v := range row {
-			d.B.Grad.Data[j] += v
+// Backward returns dx = dout·Wᵀ and, under train, accumulates
+// dW = xᵀ·dout and db = colsum(dout).
+func (d *Dense) Backward(cache any, dout *mat.Matrix, train bool) *mat.Matrix {
+	if train {
+		x := cache.(*mat.Matrix)
+		d.W.Grad.AddInPlace(mat.MulT1(nil, x, dout))
+		for i := 0; i < dout.Rows; i++ {
+			for j, v := range dout.Row(i) {
+				d.B.Grad.Data[j] += v
+			}
 		}
 	}
 	return mat.MulT2(nil, dout, d.W.Value)
@@ -77,39 +79,32 @@ func (d *Dense) Spec() LayerSpec {
 }
 
 // ReLU applies max(0, x) element-wise.
-type ReLU struct {
-	mask []bool
-}
+type ReLU struct{}
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies the rectifier and records the active mask.
-func (r *ReLU) Forward(x *mat.Matrix) *mat.Matrix {
+// Forward applies the rectifier; the cache is the output, whose positive
+// entries are exactly the active units.
+func (r *ReLU) Forward(x *mat.Matrix, _ bool) (*mat.Matrix, any) {
 	y := x.Clone()
-	if cap(r.mask) < len(y.Data) {
-		r.mask = make([]bool, len(y.Data))
-	}
-	r.mask = r.mask[:len(y.Data)]
 	for i, v := range y.Data {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
+		if !(v > 0) {
 			y.Data[i] = 0
 		}
 	}
-	return y
+	return y, y
 }
 
 // Backward zeroes gradients where the forward input was non-positive.
-func (r *ReLU) Backward(dout *mat.Matrix) *mat.Matrix {
-	if len(r.mask) != len(dout.Data) {
+func (r *ReLU) Backward(cache any, dout *mat.Matrix, _ bool) *mat.Matrix {
+	y := cache.(*mat.Matrix)
+	if len(y.Data) != len(dout.Data) {
 		panic("nn: ReLU.Backward shape mismatch with Forward")
 	}
 	dx := dout.Clone()
-	for i := range dx.Data {
-		if !r.mask[i] {
+	for i, v := range y.Data {
+		if !(v > 0) {
 			dx.Data[i] = 0
 		}
 	}

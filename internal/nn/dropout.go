@@ -7,23 +7,6 @@ import (
 	"diagnet/internal/mat"
 )
 
-// trainingAware is implemented by layers that behave differently during
-// training and inference.
-type trainingAware interface {
-	SetTraining(bool)
-}
-
-// SetTraining switches every mode-aware layer between training and
-// inference behaviour. Trainer.Fit toggles it automatically; Forward
-// outside training runs in inference mode by default.
-func (n *Network) SetTraining(training bool) {
-	for _, l := range n.Layers {
-		if ta, ok := l.(trainingAware); ok {
-			ta.SetTraining(training)
-		}
-	}
-}
-
 // Dropout zeroes a fraction Rate of activations during training (inverted
 // dropout: survivors are scaled by 1/(1−Rate) so inference needs no
 // rescaling) and is the identity at inference. Offered as regularization
@@ -32,9 +15,7 @@ func (n *Network) SetTraining(training bool) {
 type Dropout struct {
 	Rate float64
 
-	rng      *rand.Rand
-	training bool
-	mask     []bool
+	rng *rand.Rand // drawn from by training passes only
 }
 
 // NewDropout builds a dropout layer with rate in [0, 1).
@@ -45,45 +26,39 @@ func NewDropout(rate float64, rng *rand.Rand) *Dropout {
 	return &Dropout{Rate: rate, rng: rng}
 }
 
-// SetTraining implements trainingAware.
-func (d *Dropout) SetTraining(training bool) { d.training = training }
-
-// Forward applies the mask during training and passes through otherwise.
-func (d *Dropout) Forward(x *mat.Matrix) *mat.Matrix {
-	if !d.training || d.Rate == 0 {
-		d.mask = nil
-		return x
+// Forward applies a fresh mask under train and passes x through
+// otherwise. The cache is the survivor mask (nil for the identity).
+func (d *Dropout) Forward(x *mat.Matrix, train bool) (*mat.Matrix, any) {
+	if !train || d.Rate == 0 {
+		return x, []bool(nil)
 	}
 	y := x.Clone()
-	if cap(d.mask) < len(y.Data) {
-		d.mask = make([]bool, len(y.Data))
-	}
-	d.mask = d.mask[:len(y.Data)]
+	mask := make([]bool, len(y.Data))
 	scale := 1 / (1 - d.Rate)
 	for i := range y.Data {
 		if d.rng.Float64() < d.Rate {
-			d.mask[i] = false
 			y.Data[i] = 0
 		} else {
-			d.mask[i] = true
+			mask[i] = true
 			y.Data[i] *= scale
 		}
 	}
-	return y
+	return y, mask
 }
 
 // Backward routes gradients through the surviving units only.
-func (d *Dropout) Backward(dout *mat.Matrix) *mat.Matrix {
-	if d.mask == nil {
+func (d *Dropout) Backward(cache any, dout *mat.Matrix, _ bool) *mat.Matrix {
+	mask := cache.([]bool)
+	if mask == nil {
 		return dout
 	}
-	if len(d.mask) != len(dout.Data) {
+	if len(mask) != len(dout.Data) {
 		panic("nn: Dropout.Backward shape mismatch with Forward")
 	}
 	dx := dout.Clone()
 	scale := 1 / (1 - d.Rate)
 	for i := range dx.Data {
-		if d.mask[i] {
+		if mask[i] {
 			dx.Data[i] *= scale
 		} else {
 			dx.Data[i] = 0

@@ -12,11 +12,11 @@ import (
 func TestDropoutIdentityAtInference(t *testing.T) {
 	d := NewDropout(0.5, rand.New(rand.NewSource(1)))
 	x := mat.FromRows([][]float64{{1, 2, 3, 4}})
-	y := d.Forward(x) // training not set: inference mode
+	y, cache := d.Forward(x, false)
 	if !mat.Equal(x, y, 0) {
 		t.Fatal("inference dropout must be identity")
 	}
-	dx := d.Backward(x.Clone())
+	dx := d.Backward(cache, x.Clone(), false)
 	if !mat.Equal(x, dx, 0) {
 		t.Fatal("inference backward must be identity")
 	}
@@ -25,10 +25,9 @@ func TestDropoutIdentityAtInference(t *testing.T) {
 func TestDropoutTrainingMasksAndScales(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewDropout(0.5, rng)
-	d.SetTraining(true)
 	x := mat.New(1, 10000)
 	x.Fill(1)
-	y := d.Forward(x)
+	y, cache := d.Forward(x, true)
 	zeros, scaled := 0, 0
 	for _, v := range y.Data {
 		switch v {
@@ -56,7 +55,7 @@ func TestDropoutTrainingMasksAndScales(t *testing.T) {
 	// Backward routes only through survivors, with the same scale.
 	g := mat.New(1, 10000)
 	g.Fill(1)
-	dg := d.Backward(g)
+	dg := d.Backward(cache, g, true)
 	for i, v := range dg.Data {
 		if y.Data[i] == 0 && v != 0 {
 			t.Fatal("gradient leaked through dropped unit")
@@ -111,8 +110,8 @@ func TestTrainerTogglesTrainingMode(t *testing.T) {
 	x, labels := randBatch(rng, 50, 2, 2)
 	tr := NewTrainer(net)
 	tr.Fit(x, labels, nil, nil, TrainConfig{Epochs: 2, BatchSize: 10, Seed: 1})
-	// After Fit the network must be back in inference mode: two forwards
-	// agree exactly.
+	// Forward outside Fit runs in inference mode: two forwards agree
+	// exactly.
 	a := net.Forward(x)
 	b := net.Forward(x)
 	if !mat.Equal(a, b, 0) {

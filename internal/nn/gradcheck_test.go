@@ -21,9 +21,9 @@ func checkParamGradients(t *testing.T, net *Network, x *mat.Matrix, labels []int
 	t.Helper()
 	var ce SoftmaxCrossEntropy
 	net.ZeroGrads()
-	logits := net.Forward(x)
+	logits, caches := net.forward(x, true)
 	_, dlogits := ce.Loss(logits, labels)
-	net.Backward(dlogits)
+	net.backward(caches, dlogits, true)
 
 	const h = 1e-5
 	for pi, p := range net.Params() {
@@ -43,15 +43,29 @@ func checkParamGradients(t *testing.T, net *Network, x *mat.Matrix, labels []int
 	}
 }
 
-// checkInputGradients compares analytic input gradients against central
-// finite differences.
+// checkInputGradients compares the training pass's analytic input
+// gradients against central finite differences, and requires the
+// inference pass to produce the same gradients bit for bit without
+// touching any Param.Grad.
 func checkInputGradients(t *testing.T, net *Network, x *mat.Matrix, labels []int, tol float64) {
 	t.Helper()
 	var ce SoftmaxCrossEntropy
 	net.ZeroGrads()
-	logits := net.Forward(x)
+	logits, caches := net.forward(x, true)
 	_, dlogits := ce.Loss(logits, labels)
-	dx := net.Backward(dlogits)
+	dx := net.backward(caches, dlogits, true)
+
+	before := snapshotGrads(net)
+	logits, caches = net.forward(x, false)
+	_, dlogits = ce.Loss(logits, labels)
+	if !mat.Equal(dx, net.backward(caches, dlogits, false), 0) {
+		t.Fatal("inference input gradient differs from the training pass")
+	}
+	for i, p := range net.Params() {
+		if !mat.Equal(p.Grad, before[i], 0) {
+			t.Fatalf("inference backward wrote %s.Grad", p.Name)
+		}
+	}
 
 	const h = 1e-5
 	for i := range x.Data {
@@ -66,6 +80,14 @@ func checkInputGradients(t *testing.T, net *Network, x *mat.Matrix, labels []int
 			t.Fatalf("input element %d: analytic %v vs numeric %v", i, dx.Data[i], numeric)
 		}
 	}
+}
+
+func snapshotGrads(net *Network) []*mat.Matrix {
+	var gs []*mat.Matrix
+	for _, p := range net.Params() {
+		gs = append(gs, p.Grad.Clone())
+	}
+	return gs
 }
 
 func randBatch(rng *rand.Rand, n, cols, classes int) (*mat.Matrix, []int) {
@@ -156,5 +178,5 @@ func TestLandPoolRejectsBadWidth(t *testing.T) {
 			t.Fatal("want panic for incompatible width")
 		}
 	}()
-	lp.Forward(mat.New(1, 12)) // 12-3=9 not divisible by 5
+	lp.Forward(mat.New(1, 12), false) // 12-3=9 not divisible by 5
 }

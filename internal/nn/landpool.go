@@ -278,12 +278,13 @@ type LandPool struct {
 
 	Kernel *Param // F×K
 	Bias   *Param // 1×F
+}
 
-	// caches for backward
+// landPoolCache is what one LandPool.Forward call hands its Backward.
+type landPoolCache struct {
 	x        *mat.Matrix
 	ell      int
 	filtered []float64 // per sample: ell*F filter activations
-	nCached  int
 }
 
 // NewLandPool builds a LandPool layer with Glorot-initialized kernel.
@@ -312,21 +313,21 @@ func (lp *LandPool) landmarks(cols int) int {
 	return lw / lp.K
 }
 
-// Forward applies the shared convolution and global pooling to a batch.
-func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
-	ell := lp.landmarks(x.Cols)
-	lp.x, lp.ell, lp.nCached = x, ell, x.Rows
-	if need := x.Rows * ell * lp.F; cap(lp.filtered) < need {
-		lp.filtered = make([]float64, need)
-	}
-	lp.filtered = lp.filtered[:x.Rows*ell*lp.F]
-
-	needSort := false
+// needSort reports whether any op reads the shared ascending argsort.
+func (lp *LandPool) needSort() bool {
 	for _, op := range lp.Ops {
 		if _, ok := op.(sortedPoolOp); ok {
-			needSort = true
+			return true
 		}
 	}
+	return false
+}
+
+// Forward applies the shared convolution and global pooling to a batch.
+func (lp *LandPool) Forward(x *mat.Matrix, _ bool) (*mat.Matrix, any) {
+	ell := lp.landmarks(x.Cols)
+	c := &landPoolCache{x: x, ell: ell, filtered: make([]float64, x.Rows*ell*lp.F)}
+	needSort := lp.needSort()
 
 	out := mat.New(x.Rows, lp.OutWidth())
 	kern := lp.Kernel.Value
@@ -335,7 +336,7 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 	idx := make([]int, ell)
 	for s := 0; s < x.Rows; s++ {
 		row := x.Row(s)
-		fcache := lp.filtered[s*ell*lp.F : (s+1)*ell*lp.F]
+		fcache := c.filtered[s*ell*lp.F : (s+1)*ell*lp.F]
 		// Convolution: F[λ] = Kernel · x[λ] + Bias for each landmark λ.
 		for l := 0; l < ell; l++ {
 			xl := row[l*lp.K : (l+1)*lp.K]
@@ -365,35 +366,30 @@ func (lp *LandPool) Forward(x *mat.Matrix) *mat.Matrix {
 		// Local features pass through.
 		copy(orow[len(lp.Ops)*lp.F:], row[ell*lp.K:])
 	}
-	return out
+	return out, c
 }
 
-// Backward propagates gradients through pooling and convolution,
-// accumulating kernel/bias gradients and returning input gradients.
-func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
-	if lp.x == nil || dout.Rows != lp.nCached || dout.Cols != lp.OutWidth() {
+// Backward propagates gradients through pooling and convolution and
+// returns input gradients; under train it also accumulates the kernel and
+// bias gradients.
+func (lp *LandPool) Backward(cache any, dout *mat.Matrix, train bool) *mat.Matrix {
+	c := cache.(*landPoolCache)
+	if dout.Rows != c.x.Rows || dout.Cols != lp.OutWidth() {
 		panic("nn: LandPool.Backward shape mismatch with Forward")
 	}
-	ell := lp.ell
-	dx := mat.New(lp.x.Rows, lp.x.Cols)
+	ell := c.ell
+	dx := mat.New(c.x.Rows, c.x.Cols)
 	kern := lp.Kernel.Value
-	dkern := lp.Kernel.Grad
-	dbias := lp.Bias.Grad.Data
-	needSort := false
-	for _, op := range lp.Ops {
-		if _, ok := op.(sortedPoolOp); ok {
-			needSort = true
-		}
-	}
+	needSort := lp.needSort()
 	vals := make([]float64, ell)
 	idx := make([]int, ell)
 	dvals := make([]float64, ell)
 	dfilt := make([]float64, ell*lp.F)
-	for s := 0; s < lp.x.Rows; s++ {
-		row := lp.x.Row(s)
+	for s := 0; s < c.x.Rows; s++ {
+		row := c.x.Row(s)
 		drow := dx.Row(s)
 		grow := dout.Row(s)
-		fcache := lp.filtered[s*ell*lp.F : (s+1)*ell*lp.F]
+		fcache := c.filtered[s*ell*lp.F : (s+1)*ell*lp.F]
 		for i := range dfilt {
 			dfilt[i] = 0
 		}
@@ -432,8 +428,10 @@ func (lp *LandPool) Backward(dout *mat.Matrix) *mat.Matrix {
 				if g == 0 {
 					continue
 				}
-				dbias[fi] += g
-				mat.Axpy(g, xl, dkern.Row(fi))
+				if train {
+					lp.Bias.Grad.Data[fi] += g
+					mat.Axpy(g, xl, lp.Kernel.Grad.Row(fi))
+				}
 				mat.Axpy(g, kern.Row(fi), dxl)
 			}
 		}

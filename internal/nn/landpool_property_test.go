@@ -94,8 +94,8 @@ func TestLandPoolPermutationInvariance(t *testing.T) {
 			copy(prow[ell*k:], row[ell*k:]) // locals keep their position
 		}
 
-		base := lp.Forward(x)
-		permuted := lp.Forward(perm)
+		base, _ := lp.Forward(x, false)
+		permuted, _ := lp.Forward(perm, false)
 		for i := range base.Data {
 			if d := math.Abs(base.Data[i] - permuted.Data[i]); d > propTol {
 				t.Fatalf("trial %d (k=%d f=%d local=%d ell=%d): output[%d] moved %g under landmark permutation",
@@ -131,9 +131,9 @@ func TestLandPoolSubsetConsistency(t *testing.T) {
 		}
 		copy(srow[len(subset)*k:], row[ell*k:])
 
-		full := lp.Forward(x)
-		frow := append([]float64(nil), full.Row(0)...) // Forward reuses caches; keep a copy
-		subOut := lp.Forward(sub)
+		full, _ := lp.Forward(x, false)
+		frow := full.Row(0)
+		subOut, _ := lp.Forward(sub, false)
 		orow := subOut.Row(0)
 
 		if got, want := len(orow), len(ops)*f+local; got != want {

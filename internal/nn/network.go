@@ -24,20 +24,30 @@ type Network struct {
 // NewNetwork wraps layers into a network.
 func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
 
-// Forward runs the batch x through every layer.
+// Forward runs the batch x through every layer in inference mode. It
+// writes nothing shared, so concurrent calls on one network are safe.
 func (n *Network) Forward(x *mat.Matrix) *mat.Matrix {
-	for _, l := range n.Layers {
-		x = l.Forward(x)
-	}
-	return x
+	y, _ := n.forward(x, false)
+	return y
 }
 
-// Backward propagates dout from the output back to the input, accumulating
-// parameter gradients, and returns the gradient with respect to the input
-// batch.
-func (n *Network) Backward(dout *mat.Matrix) *mat.Matrix {
+// forward runs x through every layer and returns the output plus each
+// layer's cache, which backward consumes. train selects training-time
+// behaviour (dropout masks).
+func (n *Network) forward(x *mat.Matrix, train bool) (*mat.Matrix, []any) {
+	caches := make([]any, len(n.Layers))
+	for i, l := range n.Layers {
+		x, caches[i] = l.Forward(x, train)
+	}
+	return x, caches
+}
+
+// backward propagates dout from the output back to the input through the
+// caches of one forward call and returns the gradient with respect to the
+// input batch. Only under train are parameter gradients accumulated.
+func (n *Network) backward(caches []any, dout *mat.Matrix, train bool) *mat.Matrix {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dout = n.Layers[i].Backward(dout)
+		dout = n.Layers[i].Backward(caches[i], dout, train)
 	}
 	return dout
 }
@@ -65,40 +75,36 @@ func (n *Network) ParamCount() (total, trainable int) {
 }
 
 // ZeroGrads clears all accumulated gradients.
-func (n *Network) ZeroGrads() { zeroGrads(n.Params()) }
+func (n *Network) ZeroGrads() {
+	for _, p := range n.Params() {
+		p.Grad.Zero()
+	}
+}
 
 // InputGradient returns the gradient of the ideal-label cross-entropy loss
 // L* = −log softmax(f(x))[target] with respect to the input features of a
-// single sample, plus the softmax probabilities of the forward pass. This
-// is DiagNet's attention primitive (§III-E): it requires white-box access
-// to the network, which this engine provides by construction. Parameter
-// gradients accumulated by the pass are discarded.
+// single sample, plus the softmax probabilities of the forward pass; a
+// negative target selects the arg-max class. This is DiagNet's attention
+// primitive (§III-E): it requires white-box access to the network, which
+// this engine provides by construction. It is the one-row case of
+// InputGradientBatch.
 func (n *Network) InputGradient(x []float64, target int) (grad []float64, probs []float64) {
-	in := mat.FromSlice(1, len(x), append([]float64(nil), x...))
-	logits := n.Forward(in)
-	if target < 0 {
-		// Caller wants the arg-max class as the ideal label.
-		target = Argmax(logits.Row(0))
-	}
-	p := Softmax(logits)
-	dlogits := CrossEntropyGrad(logits, target)
-	n.ZeroGrads()
-	dx := n.Backward(dlogits)
-	n.ZeroGrads()
-	return dx.Row(0), p.Row(0)
+	g, p := n.InputGradientBatch(mat.FromSlice(1, len(x), x), []int{target})
+	return g.Row(0), p.Row(0)
 }
 
 // InputGradientBatch is the batched InputGradient: one forward and one
-// backward pass over the whole b×n batch instead of b separate passes.
-// Because no layer mixes information across rows, row i of the returned
-// gradient equals what InputGradient(x.Row(i), targets[i]) would produce —
-// but the weight matrices are streamed from memory once per batch rather
-// than once per sample, which is what makes the serving engine's
-// micro-batching pay. targets may be nil (per-row arg-max ideal labels) or
-// hold one class per row, -1 selecting that row's arg-max. The input batch
-// is mutated-safe: callers may reuse x's backing storage afterwards.
+// input-gradient-only backward pass over the whole b×n batch. Because no
+// layer mixes information across rows, row i of the result equals
+// InputGradient(x.Row(i), targets[i]) — but the weight matrices are
+// streamed from memory once per batch rather than once per sample, which
+// is what makes the serving engine's micro-batching pay. targets may be
+// nil (per-row arg-max ideal labels) or hold one class per row, -1
+// selecting that row's arg-max (written back into targets). No parameter
+// gradient is computed and nothing shared is written, so concurrent calls
+// on one network are safe; x is only read.
 func (n *Network) InputGradientBatch(x *mat.Matrix, targets []int) (grads, probs *mat.Matrix) {
-	logits := n.Forward(x)
+	logits, caches := n.forward(x, false)
 	tg := targets
 	if tg == nil {
 		tg = make([]int, logits.Rows)
@@ -111,17 +117,7 @@ func (n *Network) InputGradientBatch(x *mat.Matrix, targets []int) (grads, probs
 			tg[i] = Argmax(logits.Row(i))
 		}
 	}
-	probs = Softmax(logits)
-	dlogits := IdealLossGrad(logits, tg)
-	n.ZeroGrads()
-	dx := n.Backward(dlogits)
-	n.ZeroGrads()
-	return dx, probs
-}
-
-// Predict returns the softmax class probabilities for a batch.
-func (n *Network) Predict(x *mat.Matrix) *mat.Matrix {
-	return Softmax(n.Forward(x))
+	return n.backward(caches, IdealLossGrad(logits, tg), false), Softmax(logits)
 }
 
 // Argmax returns the index of the largest value in xs.

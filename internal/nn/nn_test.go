@@ -73,11 +73,11 @@ func TestLossLabelOutOfRangePanics(t *testing.T) {
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU()
 	x := mat.FromRows([][]float64{{-1, 0, 2}})
-	y := r.Forward(x)
+	y, cache := r.Forward(x, false)
 	if y.At(0, 0) != 0 || y.At(0, 1) != 0 || y.At(0, 2) != 2 {
 		t.Fatalf("ReLU forward = %v", y.Data)
 	}
-	dx := r.Backward(mat.FromRows([][]float64{{5, 5, 5}}))
+	dx := r.Backward(cache, mat.FromRows([][]float64{{5, 5, 5}}), false)
 	if dx.At(0, 0) != 0 || dx.At(0, 1) != 0 || dx.At(0, 2) != 5 {
 		t.Fatalf("ReLU backward = %v", dx.Data)
 	}
@@ -403,5 +403,33 @@ func TestArgmax(t *testing.T) {
 	}
 	if Argmax([]float64{5}) != 0 {
 		t.Fatal("Argmax single element")
+	}
+}
+
+// TestInputGradientBatchMatchesRows pins the batching contract: each row
+// of InputGradientBatch equals the one-sample InputGradient exactly, and
+// neither inference pass writes any Param.Grad.
+func TestInputGradientBatchMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	net, _ := tableINet(rng)
+	for _, p := range net.Params() {
+		for i := range p.Grad.Data {
+			p.Grad.Data[i] = rng.NormFloat64()
+		}
+	}
+	before := snapshotGrads(net)
+	x, _ := benchBatch(rng, 7, 6)
+	grads, probs := net.InputGradientBatch(x, nil)
+	for i := 0; i < x.Rows; i++ {
+		g, p := net.InputGradient(x.Row(i), -1)
+		if !mat.Equal(mat.FromSlice(1, len(g), grads.Row(i)), mat.FromSlice(1, len(g), g), 0) ||
+			!mat.Equal(mat.FromSlice(1, len(p), probs.Row(i)), mat.FromSlice(1, len(p), p), 0) {
+			t.Fatalf("row %d differs from the one-sample pass", i)
+		}
+	}
+	for i, p := range net.Params() {
+		if !mat.Equal(p.Grad, before[i], 0) {
+			t.Fatalf("inference wrote %s.Grad", p.Name)
+		}
 	}
 }

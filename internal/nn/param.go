@@ -9,6 +9,12 @@
 // requires, and supports freezing parameters, which the per-service
 // specialization procedure (§IV-F) requires.
 //
+// Layers hold only their parameters. A forward pass returns its per-layer
+// caches to the caller, and the backward pass accumulates parameter
+// gradients only when training; inference — Forward and the input-gradient
+// passes — writes no shared state, so one Network serves concurrent
+// callers.
+//
 // All computations are float64 and deterministic for a given seed.
 package nn
 
@@ -20,7 +26,7 @@ import (
 )
 
 // Param is one trainable tensor: its value, the gradient accumulated by the
-// latest backward pass, and a freeze flag honoured by optimizers.
+// latest training backward pass, and a freeze flag honoured by optimizers.
 type Param struct {
 	Name   string
 	Value  *mat.Matrix
@@ -42,12 +48,5 @@ func glorotInit(p *Param, fanIn, fanOut int, rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range p.Value.Data {
 		p.Value.Data[i] = (rng.Float64()*2 - 1) * limit
-	}
-}
-
-// zeroGrads clears the gradients of every param in ps.
-func zeroGrads(ps []*Param) {
-	for _, p := range ps {
-		p.Grad.Zero()
 	}
 }

@@ -112,8 +112,6 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 	sinceBest := 0
 
 	type batchRef struct{ group, lo, hi int }
-	t.Net.SetTraining(true)
-	defer t.Net.SetTraining(false)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		epochClock := telemetry.StartStages()
 		var refs []batchRef
@@ -142,9 +140,9 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 				by[i] = g.Labels[order[ref.lo+i]]
 			}
 			t.Net.ZeroGrads()
-			logits := t.Net.Forward(bx)
+			logits, caches := t.Net.forward(bx, true)
 			loss, dlogits := t.Loss.WeightedLoss(logits, by, t.ClassWeights)
-			t.Net.Backward(dlogits)
+			t.Net.backward(caches, dlogits, true)
 			t.Opt.Step(t.Net.Params())
 			epochLoss += loss
 			batches++
@@ -158,9 +156,7 @@ func (t *Trainer) FitGroups(groups []Group, valX *mat.Matrix, valLabels []int, c
 
 		valLoss := math.NaN()
 		if valX != nil && valX.Rows > 0 {
-			t.Net.SetTraining(false)
 			valLoss = t.Evaluate(valX, valLabels)
-			t.Net.SetTraining(true)
 			hist.ValLoss = append(hist.ValLoss, valLoss)
 			mValLoss.Set(valLoss)
 			if valLoss < bestVal-1e-6 {

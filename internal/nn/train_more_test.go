@@ -132,15 +132,6 @@ func TestSGDResetClearsState(t *testing.T) {
 	}
 }
 
-func TestCrossEntropyGradSingleRowOnly(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	CrossEntropyGrad(mat.New(2, 3), 0)
-}
-
 func TestHistoryEpochs(t *testing.T) {
 	h := &History{TrainLoss: []float64{1, 0.5, 0.3}}
 	if h.Epochs() != 3 {

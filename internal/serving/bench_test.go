@@ -212,9 +212,8 @@ func BenchmarkShadowTee(b *testing.B) {
 
 // BenchmarkServeDirect is the pre-engine serving path: one shared model
 // behind a mutex, one forward/backward pass per request — exactly what
-// analysis.Server did before the serving engine existed. The mutex is not
-// a strawman: a Model is not safe for concurrent Diagnose, so a single
-// shared model must serialize.
+// analysis.Server did before the serving engine existed, kept as the
+// baseline of results/BENCH_serving.json.
 func BenchmarkServeDirect(b *testing.B) {
 	m, _ := benchFixture(b)
 	req := benchRequest(b)

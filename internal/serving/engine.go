@@ -29,8 +29,8 @@ type outcome struct {
 
 // Engine is the batched inference engine: a bounded submission queue, a
 // dispatcher that coalesces submissions into adaptive micro-batches, and a
-// worker pool (one model replica per worker) that executes them. See the
-// package comment for the policy; see New for lifecycle.
+// worker pool that executes them against the shared, read-only models.
+// See the package comment for the policy; see New for lifecycle.
 type Engine struct {
 	cfg Config
 	reg *Registry
@@ -72,7 +72,7 @@ func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:      cfg,
-		reg:      NewRegistry(cfg.Workers),
+		reg:      NewRegistry(),
 		queue:    make(chan *item, cfg.QueueDepth),
 		batches:  make(chan []*item, cfg.Workers),
 		shadowCh: make(chan *shadowJob, cfg.QueueDepth),
@@ -312,9 +312,8 @@ func (e *Engine) dispatch() {
 // worker executes micro-batches. Each batch is served by exactly one
 // registry snapshot (one atomic load), so responses are attributable to
 // exactly one model version even while a promotion swaps the pointer
-// mid-stream. Within a batch, items are grouped by (service, layout) and
-// every group runs as one fused forward/backward pass on the worker's
-// private session.
+// mid-stream. Within a batch, items are grouped by (model, layout) and
+// every group runs as one fused forward/backward pass on the shared model.
 func (e *Engine) worker(id int) {
 	defer e.workerWG.Done()
 	for batch := range e.batches {
@@ -344,10 +343,10 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 	if len(live) == 0 {
 		return
 	}
-	rep := snap.replicas[worker]
 
-	// Group by (session, layout): items of the same service and landmark
-	// set share one batched inference. done tracks items already grouped.
+	// Group by (model, layout): items served by the same model with the
+	// same landmark set share one batched inference. grouped tracks items
+	// already assigned.
 	grouped := make([]bool, len(live))
 	var members []*item
 	var features [][]float64
@@ -355,21 +354,21 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 		if grouped[i] {
 			continue
 		}
-		sess, svc := rep.sessionFor(lead.req.ServiceID)
+		m, svc := snap.modelFor(lead.req.ServiceID)
 		members = append(members[:0], lead)
 		features = append(features[:0], lead.req.Features)
 		for j := i + 1; j < len(live); j++ {
 			if grouped[j] {
 				continue
 			}
-			s2, _ := rep.sessionFor(live[j].req.ServiceID)
-			if s2 == sess && layoutEqual(lead.req.Layout, live[j].req.Layout) {
+			m2, _ := snap.modelFor(live[j].req.ServiceID)
+			if m2 == m && layoutEqual(lead.req.Layout, live[j].req.Layout) {
 				grouped[j] = true
 				members = append(members, live[j])
 				features = append(features, live[j].req.Features)
 			}
 		}
-		e.serveGroup(snap, worker, sess, svc, lead.req.Layout, members, features)
+		e.serveGroup(snap, worker, m, svc, lead.req.Layout, members, features)
 	}
 }
 
@@ -384,7 +383,7 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 // links back to the batch span that served it, so a member's trace still
 // reaches the shared inference work even though that work was recorded
 // under the lead's trace.
-func (e *Engine) serveGroup(snap *snapshot, worker int, sess *core.Session, svc int, layout probe.Layout, members []*item, features [][]float64) {
+func (e *Engine) serveGroup(snap *snapshot, worker int, m *core.Model, svc int, layout probe.Layout, members []*item, features [][]float64) {
 	lead := members[0]
 	bctx, bspan := tracing.StartSpan(lead.ctx, "serving.batch")
 	bspan.SetAttr("batch.size", len(members))
@@ -413,7 +412,7 @@ func (e *Engine) serveGroup(snap *snapshot, worker int, sess *core.Session, svc 
 		}
 	}()
 	inferStart := time.Now()
-	diags := sess.DiagnoseBatchContext(bctx, features, layout)
+	diags := m.DiagnoseBatch(bctx, features, layout)
 	inferDur := time.Since(inferStart)
 	bspan.End()
 	for k, it := range members {

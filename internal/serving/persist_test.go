@@ -13,7 +13,7 @@ import (
 func openPersistent(t *testing.T, dir string, versions ...string) (*Registry, *Persistence, string) {
 	t.Helper()
 	m, _ := fixture(t)
-	reg := NewRegistry(1)
+	reg := NewRegistry()
 	for _, v := range versions {
 		if err := reg.AddModel(v, m); err != nil {
 			t.Fatal(err)
@@ -221,13 +221,13 @@ func TestRegistrySpecializedModelRecovered(t *testing.T) {
 	if !reflect.DeepEqual(specialized, []int{3}) {
 		t.Fatalf("specialized models not recovered: %v", specialized)
 	}
-	// The recovered snapshot actually serves the specialized session.
+	// The recovered snapshot actually serves the specialized model.
 	snap := reg2.current()
 	if snap == nil {
 		t.Fatal("no snapshot after recovery")
 	}
-	if _, svc := snap.replicas[0].sessionFor(3); svc != 3 {
-		t.Fatalf("service 3 not served by specialized session (got %d)", svc)
+	if _, svc := snap.modelFor(3); svc != 3 {
+		t.Fatalf("service 3 not served by the specialized model (got %d)", svc)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestRegistryRecoveryMissingVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := fixture(t)
-	reg2 := NewRegistry(1)
+	reg2 := NewRegistry()
 	if err := reg2.AddModel("v1", m); err != nil { // v2's file "disappeared"
 		t.Fatal(err)
 	}

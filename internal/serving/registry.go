@@ -22,8 +22,6 @@ import (
 // analysis.Server.SetSpecialized had by mutating its specialized-model map
 // under a lock the Diagnose path also had to take.
 type Registry struct {
-	workers int
-
 	mu       sync.Mutex
 	versions map[string]*core.Bundle
 	order    []string // insertion order, for stable listings
@@ -40,38 +38,27 @@ type Registry struct {
 	shadowCur atomic.Pointer[snapshot]
 }
 
-// snapshot is one immutable, fully warmed serving configuration: the
-// per-worker replicas of one version's models. Workers index replicas by
-// worker ID; nothing in a snapshot is ever mutated after Store, so readers
-// need no locks.
+// snapshot is one immutable, warmed serving configuration: a version
+// name and its models. Models are read-only at inference, so every worker
+// serves straight from the snapshot's bundle; nothing in a snapshot is
+// ever mutated after Store, so readers need no locks.
 type snapshot struct {
-	version  string
-	replicas []*replica
+	version string
+	bundle  *core.Bundle
 }
 
-// replica is one worker's private model set: sessions clone the mutable
-// network per worker (the backward pass reuses layer caches) and carry the
-// scratch buffers that keep the hot path allocation-light.
-type replica struct {
-	general     *core.Session
-	specialized map[int]*core.Session
-}
-
-// sessionFor returns the session serving a service, falling back to the
-// general model, plus the service the session specializes (-1 = general).
-func (r *replica) sessionFor(serviceID int) (*core.Session, int) {
-	if s, ok := r.specialized[serviceID]; ok {
-		return s, serviceID
+// modelFor returns the model serving a service, falling back to the
+// general model, plus the service it specializes (-1 = general).
+func (s *snapshot) modelFor(serviceID int) (*core.Model, int) {
+	if m, ok := s.bundle.Specialized[serviceID]; ok {
+		return m, serviceID
 	}
-	return r.general, -1
+	return s.bundle.General, -1
 }
 
-// NewRegistry builds a registry whose snapshots carry `workers` replicas.
-func NewRegistry(workers int) *Registry {
-	if workers <= 0 {
-		workers = 1
-	}
-	return &Registry{workers: workers, versions: map[string]*core.Bundle{}}
+// NewRegistry builds an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{versions: map[string]*core.Bundle{}}
 }
 
 // current returns the active snapshot (nil before the first promotion).
@@ -80,12 +67,12 @@ func (r *Registry) current() *snapshot { return r.cur.Load() }
 // shadow returns the shadow snapshot (nil when no candidate is installed).
 func (r *Registry) shadow() *snapshot { return r.shadowCur.Load() }
 
-// InstallShadow builds a single-replica snapshot of a registered version
-// and installs it as the shadow candidate, replacing any previous one.
-// The same warm-up as a promotion applies: a candidate that cannot
-// produce a finite distribution is rejected here, before any teed
-// traffic reaches it. Installing the active version is rejected —
-// shadowing a model against itself can only ever say "promote".
+// InstallShadow builds a snapshot of a registered version and installs it
+// as the shadow candidate, replacing any previous one. The same warm-up as
+// a promotion applies: a candidate that cannot produce a finite
+// distribution is rejected here, before any teed traffic reaches it.
+// Installing the active version is rejected — shadowing a model against
+// itself can only ever say "promote".
 func (r *Registry) InstallShadow(version string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -96,7 +83,7 @@ func (r *Registry) InstallShadow(version string) error {
 	if cur := r.cur.Load(); cur != nil && cur.version == version {
 		return fmt.Errorf("serving: version %q is already active", version)
 	}
-	snap, err := r.buildSnapshotN(version, b, 1)
+	snap, err := buildSnapshot(version, b)
 	if err != nil {
 		return err
 	}
@@ -147,12 +134,11 @@ func (r *Registry) AddModel(version string, m *core.Model) error {
 	return r.Add(version, core.NewBundle(m))
 }
 
-// Promote builds per-worker replicas of the named version, warms every
-// session up with a real inference, and atomically swaps it in. In-flight
-// batches finish on the snapshot they started with; the warm-up means the
-// first post-swap request never pays clone-and-touch costs, and a model
-// that cannot produce a finite distribution is rejected before any traffic
-// reaches it.
+// Promote warms every model of the named version up with one real
+// inference and atomically swaps the version in. In-flight batches finish
+// on the snapshot they started with; the warm-up means the first post-swap
+// request never pays first-touch costs, and a model that cannot produce a
+// finite distribution is rejected before any traffic reaches it.
 func (r *Registry) Promote(version string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -167,7 +153,7 @@ func (r *Registry) promoteLocked(version string, record bool) error {
 	if !ok {
 		return fmt.Errorf("serving: unknown version %q", version)
 	}
-	snap, err := r.buildSnapshot(version, b)
+	snap, err := buildSnapshot(version, b)
 	if err != nil {
 		return err
 	}
@@ -234,7 +220,7 @@ func (r *Registry) restoreSpecialized(version string, serviceID int, m *core.Mod
 	if !ok {
 		return fmt.Errorf("serving: unknown version %q", version)
 	}
-	b.Specialized[serviceID] = m
+	r.versions[version] = withSpecialized(b, serviceID, m)
 	return nil
 }
 
@@ -261,9 +247,10 @@ func (r *Registry) Rollback() (string, error) {
 }
 
 // SetSpecialized installs (or replaces) a per-service specialized model in
-// the active version via copy-on-write: a new bundle and a new snapshot
-// are built and swapped atomically, so concurrent diagnoses see either the
-// old or the new model set, never a map mid-mutation.
+// the active version via copy-on-write: the new model is warmed up, then a
+// new bundle and snapshot are built and swapped atomically, so concurrent
+// diagnoses see either the old or the new model set, never a map
+// mid-mutation.
 func (r *Registry) SetSpecialized(serviceID int, m *core.Model) error {
 	if m == nil {
 		return fmt.Errorf("serving: nil specialized model for service %d", serviceID)
@@ -274,15 +261,9 @@ func (r *Registry) SetSpecialized(serviceID int, m *core.Model) error {
 	if cur == nil {
 		return ErrNoModel
 	}
-	old := r.versions[cur.version]
-	nb := core.NewBundle(old.General)
-	for id, sm := range old.Specialized {
-		nb.Specialized[id] = sm
-	}
-	nb.Specialized[serviceID] = m
-	snap, err := r.buildSnapshot(cur.version, nb)
-	if err != nil {
-		return err
+	nb := withSpecialized(r.versions[cur.version], serviceID, m)
+	if err := warmup(m); err != nil {
+		return fmt.Errorf("serving: version %q service %d: %w", cur.version, serviceID, err)
 	}
 	if r.persist != nil {
 		if err := r.persist.recordSpecialize(cur.version, serviceID, m); err != nil {
@@ -290,46 +271,40 @@ func (r *Registry) SetSpecialized(serviceID int, m *core.Model) error {
 		}
 	}
 	r.versions[cur.version] = nb
-	r.cur.Store(snap)
+	r.cur.Store(&snapshot{version: cur.version, bundle: nb})
 	return nil
 }
 
-// buildSnapshot clones and warms per-worker sessions. Called with r.mu
-// held.
-func (r *Registry) buildSnapshot(version string, b *core.Bundle) (*snapshot, error) {
-	return r.buildSnapshotN(version, b, r.workers)
-}
-
-// buildSnapshotN is buildSnapshot with an explicit replica count (shadow
-// snapshots carry one replica — the tee executor is a single goroutine).
-func (r *Registry) buildSnapshotN(version string, b *core.Bundle, workers int) (*snapshot, error) {
-	snap := &snapshot{version: version, replicas: make([]*replica, workers)}
-	warm := make([]float64, b.General.TrainLayout.NumFeatures())
-	for w := range snap.replicas {
-		rep := &replica{
-			general:     b.General.NewSession(),
-			specialized: make(map[int]*core.Session, len(b.Specialized)),
-		}
-		if err := warmup(rep.general, warm); err != nil {
-			return nil, fmt.Errorf("serving: version %q general model: %w", version, err)
-		}
-		for id, m := range b.Specialized {
-			sess := m.NewSession()
-			if err := warmup(sess, warm); err != nil {
-				return nil, fmt.Errorf("serving: version %q service %d: %w", version, id, err)
-			}
-			rep.specialized[id] = sess
-		}
-		snap.replicas[w] = rep
+// withSpecialized returns a copy of b with m serving serviceID. Bundles
+// are copied, never mutated, because snapshots serve straight from them.
+func withSpecialized(b *core.Bundle, serviceID int, m *core.Model) *core.Bundle {
+	nb := core.NewBundle(b.General)
+	for id, sm := range b.Specialized {
+		nb.Specialized[id] = sm
 	}
-	return snap, nil
+	nb.Specialized[serviceID] = m
+	return nb
 }
 
-// warmup runs one inference through a fresh session: it touches every
-// weight matrix (paging the clone in) and proves the model still produces
-// a finite coarse distribution before promotion exposes it to traffic.
-func warmup(s *core.Session, features []float64) error {
-	d := s.Diagnose(features, s.Model().TrainLayout)
+// buildSnapshot warms every model of a version up once and wraps them
+// into a snapshot.
+func buildSnapshot(version string, b *core.Bundle) (*snapshot, error) {
+	if err := warmup(b.General); err != nil {
+		return nil, fmt.Errorf("serving: version %q general model: %w", version, err)
+	}
+	for id, m := range b.Specialized {
+		if err := warmup(m); err != nil {
+			return nil, fmt.Errorf("serving: version %q service %d: %w", version, id, err)
+		}
+	}
+	return &snapshot{version: version, bundle: b}, nil
+}
+
+// warmup runs one inference through a model: it touches every weight
+// matrix and proves the model still produces a finite coarse distribution
+// before promotion exposes it to traffic.
+func warmup(m *core.Model) error {
+	d := m.Diagnose(make([]float64, m.TrainLayout.NumFeatures()), m.TrainLayout)
 	for _, p := range d.Coarse {
 		if math.IsNaN(p) || math.IsInf(p, 0) {
 			return fmt.Errorf("warm-up produced a non-finite coarse distribution")

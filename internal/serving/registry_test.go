@@ -11,7 +11,7 @@ import (
 
 func TestRegistryAddRejectsDuplicatesAndEmpty(t *testing.T) {
 	m, _ := fixture(t)
-	r := NewRegistry(1)
+	r := NewRegistry()
 	if err := r.AddModel("", m); err == nil {
 		t.Fatal("empty version name accepted")
 	}
@@ -28,7 +28,7 @@ func TestRegistryAddRejectsDuplicatesAndEmpty(t *testing.T) {
 
 func TestRegistryPromoteAndRollbackWalkHistory(t *testing.T) {
 	m, _ := fixture(t)
-	r := NewRegistry(2)
+	r := NewRegistry()
 	if err := r.Promote("ghost"); err == nil {
 		t.Fatal("promoted an unregistered version")
 	}
@@ -60,7 +60,7 @@ func TestRegistryPromoteAndRollbackWalkHistory(t *testing.T) {
 
 func TestRegistrySetSpecializedNeedsActiveVersion(t *testing.T) {
 	m, _ := fixture(t)
-	r := NewRegistry(1)
+	r := NewRegistry()
 	if err := r.SetSpecialized(0, m); err != ErrNoModel {
 		t.Fatalf("err = %v, want ErrNoModel", err)
 	}
@@ -80,12 +80,12 @@ func TestRegistrySetSpecializedNeedsActiveVersion(t *testing.T) {
 	if len(infos[0].Specialized) != 1 || infos[0].Specialized[0] != 3 {
 		t.Fatalf("specialized set %v, want [3]", infos[0].Specialized)
 	}
-	// The replica for the specialized service is actually used.
+	// The specialized model is actually routed to.
 	snap := r.current()
-	if _, svc := snap.replicas[0].sessionFor(3); svc != 3 {
-		t.Fatal("specialized session not routed")
+	if _, svc := snap.modelFor(3); svc != 3 {
+		t.Fatal("specialized model not routed")
 	}
-	if _, svc := snap.replicas[0].sessionFor(7); svc != -1 {
+	if _, svc := snap.modelFor(7); svc != -1 {
 		t.Fatal("unknown service must fall back to general")
 	}
 }
@@ -115,7 +115,7 @@ func TestRegistryLoadDir(t *testing.T) {
 	// Non-gob files are ignored.
 	os.WriteFile(filepath.Join(dir, "README.txt"), []byte("x"), 0o644)
 
-	r := NewRegistry(1)
+	r := NewRegistry()
 	versions, err := r.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestRegistryLoadDir(t *testing.T) {
 }
 
 func TestRegistryLoadFileRejectsGarbage(t *testing.T) {
-	r := NewRegistry(1)
+	r := NewRegistry()
 	path := filepath.Join(t.TempDir(), "junk.gob")
 	os.WriteFile(path, []byte("not a gob stream"), 0o644)
 	if err := r.LoadFile("junk", path); err == nil {

@@ -3,24 +3,28 @@
 // "every QoE degradation from every client becomes a diagnosis request"
 // sustainable (§II, Fig. 1 scale-out).
 //
-// It has three pillars:
+// Inference is stateless: core.Model.DiagnoseBatch only reads the model,
+// so every worker serves straight from the one shared copy of each model
+// and no worker holds a clone or private buffers. The engine has three
+// pillars:
 //
 //   - Adaptive micro-batching. Concurrent Diagnose submissions land in a
 //     bounded queue and are coalesced into micro-batches (flush on
-//     max-batch-size or max-wait, whichever first). Each worker diagnoses a
-//     batch's same-layout samples with one fused forward/backward pass over
-//     the whole b×n matrix (core.Session.DiagnoseBatch), so the network's
-//     weights are streamed once per batch instead of once per request. The
-//     wait adapts to load: an EWMA of recent batch occupancy scales it
-//     down, so a lone request under light load sees almost no added
-//     latency while a loaded queue coalesces aggressively.
+//     max-batch-size or max-wait, whichever first). A worker diagnoses a
+//     batch's items that share a model and a layout with one fused
+//     forward and input-gradient pass over the whole b×n matrix
+//     (core.Model.DiagnoseBatch), so the network's weights are streamed
+//     once per batch instead of once per request. The wait adapts to
+//     load: an EWMA of recent batch occupancy scales it down, so a lone
+//     request under light load sees almost no added latency while a
+//     loaded queue coalesces aggressively.
 //
 //   - Versioned model registry. Named model versions (general + per-service
-//     specialized bundles) are loaded from disk or memory, warmed up with a
-//     real inference per worker replica, and promoted by an atomic pointer
-//     swap — the deployment path for §VI drift-triggered retrains and
-//     service specialization. Every response is attributable to exactly
-//     one version; rollback re-promotes the previous one.
+//     specialized bundles) are loaded from disk or memory, each model
+//     warmed up once with a real inference, and promoted by an atomic
+//     pointer swap — the deployment path for §VI drift-triggered retrains
+//     and service specialization. Every response is attributable to
+//     exactly one version; rollback re-promotes the previous one.
 //
 //   - Admission control. The queue is bounded: overflow is shed
 //     immediately (the analysis plane maps it to 429 + Retry-After),
@@ -65,8 +69,7 @@ type Config struct {
 	// QueueDepth bounds the submission queue; non-blocking submissions
 	// beyond it are shed (default 256).
 	QueueDepth int
-	// Workers sizes the worker pool and the per-version replica set
-	// (default GOMAXPROCS).
+	// Workers sizes the worker pool (default GOMAXPROCS).
 	Workers int
 }
 

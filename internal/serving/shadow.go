@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"math"
 	"time"
 
@@ -117,8 +118,8 @@ func (e *Engine) maybeTee(svcs []int, layout probe.Layout, features [][]float64,
 }
 
 // shadowWorker drains the tee queue: each job is replayed through the
-// candidate's single replica as fused per-session passes, and the
-// observer receives one observation per sample.
+// candidate's models as fused per-model passes, and the observer receives
+// one observation per sample.
 func (e *Engine) shadowWorker() {
 	defer e.shadowWG.Done()
 	for job := range e.shadowCh {
@@ -135,30 +136,29 @@ func (e *Engine) runShadowJob(job *shadowJob) {
 		}
 	}()
 	obs := e.observerFn()
-	rep := job.snap.replicas[0]
 
-	// Group members by the candidate session their service maps to (the
+	// Group members by the candidate model their service maps to (the
 	// candidate may specialize services the incumbent served generally).
 	done := make([]bool, len(job.features))
 	for i := range job.features {
 		if done[i] {
 			continue
 		}
-		sess, _ := rep.sessionFor(job.services[i])
+		m, _ := job.snap.modelFor(job.services[i])
 		idx := []int{i}
 		feats := [][]float64{job.features[i]}
 		for j := i + 1; j < len(job.features); j++ {
 			if done[j] {
 				continue
 			}
-			if s2, _ := rep.sessionFor(job.services[j]); s2 == sess {
+			if m2, _ := job.snap.modelFor(job.services[j]); m2 == m {
 				done[j] = true
 				idx = append(idx, j)
 				feats = append(feats, job.features[j])
 			}
 		}
 		start := time.Now()
-		diags := sess.DiagnoseBatch(feats, job.layout)
+		diags := m.DiagnoseBatch(context.Background(), feats, job.layout)
 		dur := time.Since(start)
 		mShadowInferMs.Observe(telemetry.Millis(dur))
 		if obs == nil {

@@ -17,7 +17,7 @@ func TestSubmitShedsOnFullQueue(t *testing.T) {
 	cfg := Config{QueueDepth: 2}.withDefaults()
 	e := &Engine{
 		cfg:     cfg,
-		reg:     NewRegistry(1),
+		reg:     NewRegistry(),
 		queue:   make(chan *item, cfg.QueueDepth),
 		batches: make(chan []*item, 1),
 	}
