@@ -8,7 +8,7 @@
 //	         [-model-dir models/ [-serve-version v2]]
 //	         [-state-dir state/ [-fsync always|batch|never] [-profile-on-breach 500]]
 //	         [-continual [-retrain-interval 1h] [-shadow-fraction 0.05] [-promote-min-gain 0]]
-//	         [-batch-max 32] [-batch-wait 2ms] [-queue-depth 256] [-workers 0]
+//	         [-batch-max 32] [-queue-depth 256] [-workers 0]
 //	         [-pprof 127.0.0.1:6060] [-log-format text|json]
 //	         [-trace=true] [-trace-sample 1.0] [-trace-slow 250ms]
 //
@@ -109,9 +109,8 @@ func main() {
 	serveVersion := flag.String("serve-version", "", "version to promote at boot (default: lexically last in -model-dir)")
 	stateDir := flag.String("state-dir", "", "durable state directory: journal + checkpoints of the model lifecycle (empty = in-memory only)")
 	fsyncMode := flag.String("fsync", "always", "state journal durability: always, batch or never")
-	batchMax := flag.Int("batch-max", 32, "micro-batch size cap for fused inference")
-	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max wait to fill a micro-batch (adapts down under light load)")
-	queueDepth := flag.Int("queue-depth", 256, "bounded admission queue; overflow is shed with 429")
+	batchMax := flag.Int("batch-max", 32, "micro-batch size cap for fused inference (batches take only what is already queued; no wait)")
+	queueDepth := flag.Int("queue-depth", 256, "bounded admission queue, in samples; overflow is shed with 429")
 	workers := flag.Int("workers", 0, "inference workers (0 = GOMAXPROCS)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
@@ -135,7 +134,6 @@ func main() {
 
 	engine := serving.New(serving.Config{
 		BatchMax:   *batchMax,
-		BatchWait:  *batchWait,
 		QueueDepth: *queueDepth,
 		Workers:    *workers,
 	})
@@ -209,7 +207,7 @@ func main() {
 	}
 	cfg := engine.Config()
 	slog.Info("serving model version", "version", boot,
-		"batch_max", cfg.BatchMax, "batch_wait", cfg.BatchWait,
+		"batch_max", cfg.BatchMax,
 		"queue_depth", cfg.QueueDepth, "workers", cfg.Workers)
 
 	srv := analysis.NewServerFromEngine(engine)

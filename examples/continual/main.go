@@ -54,7 +54,7 @@ func run(out io.Writer) error {
 	cfg.Epochs = epochs
 	model := diagnet.TrainGeneral(train, diagnet.KnownRegions(), cfg).Model
 
-	engine := diagnet.NewServingEngine(diagnet.ServingConfig{BatchMax: 16, BatchWait: time.Millisecond})
+	engine := diagnet.NewServingEngine(diagnet.ServingConfig{BatchMax: 16})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()

@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -355,24 +354,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Responses: make([]*DiagnoseResponse, len(req.Requests)),
 		Errors:    make([]string, len(req.Requests)),
 	}
-	// Fan the batch out across the engine's workers: every sample becomes
-	// one submission (blocking admission, so a big batch squeezes through
-	// a small queue), the micro-batcher regroups them into fused passes,
-	// and the indexed writes keep output order stable.
-	var wg sync.WaitGroup
+	// Validate every sample, then submit the valid ones as one group: the
+	// engine enqueues it whole (blocking admission, so a big batch squeezes
+	// through a small queue) and answers in input order.
+	subs := make([]*serving.Request, 0, len(req.Requests))
+	idx := make([]int, 0, len(req.Requests))
 	for i := range req.Requests {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := s.diagnose(r.Context(), &req.Requests[i], true)
-			if err != nil {
-				resp.Errors[i] = err.Error()
-				return
-			}
-			resp.Responses[i] = out
-		}(i)
+		sub, err := s.prepare(&req.Requests[i])
+		if err != nil {
+			resp.Errors[i] = err.Error()
+			continue
+		}
+		subs = append(subs, sub)
+		idx = append(idx, i)
 	}
-	wg.Wait()
+	results, errs := s.engine.SubmitBatch(r.Context(), subs)
+	for j, i := range idx {
+		if errs[j] != nil {
+			resp.Errors[i] = errs[j].Error()
+			continue
+		}
+		resp.Responses[i] = s.finish(&req.Requests[i], subs[j], results[j])
+	}
 	writeJSON(w, resp)
 }
 
@@ -392,7 +395,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, serving.ErrQueueFull):
 		// Admission control: tell the client when to come back instead of
 		// letting the queue convoy collapse tail latency for everyone.
-		w.Header().Set("Retry-After", retryAfterSeconds(s.engine.Config()))
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, serving.ErrClosed):
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
@@ -405,12 +408,10 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// retryAfterSeconds suggests a backoff: one full batch wait rounded up to
-// the next whole second (Retry-After has 1s resolution).
-func retryAfterSeconds(cfg serving.Config) string {
-	secs := int(cfg.BatchWait.Seconds()) + 1
-	return strconv.Itoa(secs)
-}
+// retryAfter is the backoff a shed request is told to wait: the smallest
+// Retry-After (1 s resolution) — the engine takes whatever is queued
+// without waiting, so a full queue drains well within it.
+const retryAfter = "1"
 
 // Diagnose runs the pipeline on a request (also usable in-process). It
 // blocks for queue space rather than shedding; HTTP handlers instead pass
@@ -421,6 +422,25 @@ func (s *Server) Diagnose(req *DiagnoseRequest) (*DiagnoseResponse, error) {
 
 // diagnose validates, submits to the serving engine and shapes the reply.
 func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, blocking bool) (*DiagnoseResponse, error) {
+	sub, err := s.prepare(req)
+	if err != nil {
+		return nil, err
+	}
+	var res *serving.Result
+	if blocking {
+		res, err = s.engine.SubmitWait(ctx, sub)
+	} else {
+		res, err = s.engine.Submit(ctx, sub)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.finish(req, sub, res), nil
+}
+
+// prepare validates a request against the active model and turns it into
+// an engine submission.
+func (s *Server) prepare(req *DiagnoseRequest) (*serving.Request, error) {
 	if len(req.Landmarks) == 0 {
 		return nil, fmt.Errorf("analysis: no landmarks in request")
 	}
@@ -439,26 +459,13 @@ func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, blocking bo
 	if err := layout.Validate(bundle.General.FullLayout); err != nil {
 		return nil, fmt.Errorf("analysis: bad landmark list: %w", err)
 	}
-	topK := req.TopK
-	if topK <= 0 {
-		topK = 5
-	}
-	if topK > layout.NumFeatures() {
-		topK = layout.NumFeatures()
-	}
+	return &serving.Request{ServiceID: req.ServiceID, Layout: layout, Features: req.Features}, nil
+}
 
-	sub := &serving.Request{ServiceID: req.ServiceID, Layout: layout, Features: req.Features}
-	var res *serving.Result
-	if blocking {
-		res, err = s.engine.SubmitWait(ctx, sub)
-	} else {
-		res, err = s.engine.Submit(ctx, sub)
-	}
-	if err != nil {
-		return nil, err
-	}
+// finish feeds a served diagnosis to the drift detector and the continual
+// tap and shapes the reply.
+func (s *Server) finish(req *DiagnoseRequest, sub *serving.Request, res *serving.Result) *DiagnoseResponse {
 	diag := res.Diagnosis
-
 	s.mu.Lock()
 	s.drift.Observe(diag.Coarse)
 	s.mu.Unlock()
@@ -466,6 +473,14 @@ func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, blocking bo
 		s.feedContinual(ctrl, req, diag)
 	}
 
+	layout := sub.Layout
+	topK := req.TopK
+	if topK <= 0 {
+		topK = 5
+	}
+	if topK > layout.NumFeatures() {
+		topK = layout.NumFeatures()
+	}
 	resp := &DiagnoseResponse{
 		Family:        diag.Family.String(),
 		Coarse:        diag.Coarse,
@@ -481,7 +496,7 @@ func (s *Server) diagnose(ctx context.Context, req *DiagnoseRequest, blocking bo
 			Score:   diag.Final[j],
 		})
 	}
-	return resp, nil
+	return resp
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {

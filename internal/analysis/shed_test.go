@@ -24,7 +24,6 @@ func TestDiagnoseShedsWith429(t *testing.T) {
 	m, _ := fixture(t)
 	s := NewServerWithConfig(m, serving.Config{
 		BatchMax:   1,
-		BatchWait:  time.Millisecond,
 		QueueDepth: 1,
 		Workers:    1,
 	})
@@ -113,7 +112,6 @@ func TestBatchEndpointUsesBlockingAdmission(t *testing.T) {
 	m, _ := fixture(t)
 	s := NewServerWithConfig(m, serving.Config{
 		BatchMax:   4,
-		BatchWait:  time.Millisecond,
 		QueueDepth: 2,
 		Workers:    1,
 	})
@@ -136,6 +134,60 @@ func TestBatchEndpointUsesBlockingAdmission(t *testing.T) {
 	for i, r := range resp.Responses {
 		if r == nil {
 			t.Fatalf("batch item %d failed: %s", i, resp.Errors[i])
+		}
+	}
+}
+
+// TestBatchEndpointSubmitBatchWhole: the batch handler validates every
+// sample and submits the valid ones as one group, so BatchMax valid
+// samples are served as exactly one micro-batch — no goroutine per sample,
+// no timer deciding the coalescing — while an invalid sample gets its
+// error in place and the answers keep request order.
+func TestBatchEndpointSubmitBatchWhole(t *testing.T) {
+	m, test := fixture(t)
+	const batchMax = 8
+	s := NewServerWithConfig(m, serving.Config{BatchMax: batchMax, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		if err := s.Close(); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+	deg := test.Degraded()
+	const bad = 3
+	reqs := make([]DiagnoseRequest, batchMax+1)
+	for i := range reqs {
+		smp := &deg.Samples[i]
+		reqs[i] = DiagnoseRequest{ServiceID: smp.Service, Landmarks: test.Layout.Landmarks, Features: smp.Features}
+	}
+	reqs[bad].Landmarks = nil
+
+	before := fetchSnapshot(t, ts.URL).Histograms["serving.batch.size"]
+	resp, err := NewClient(ts.URL).DiagnoseBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := fetchSnapshot(t, ts.URL).Histograms["serving.batch.size"]
+	if dc, ds := after.Count-before.Count, after.Sum-before.Sum; dc != 1 || ds != batchMax {
+		t.Fatalf("served in %d micro-batches totalling %v samples, want 1 of %d", dc, ds, batchMax)
+	}
+	for i := range reqs {
+		if i == bad {
+			if resp.Responses[i] != nil || resp.Errors[i] == "" {
+				t.Fatalf("invalid sample %d: response %v, error %q", i, resp.Responses[i], resp.Errors[i])
+			}
+			continue
+		}
+		if resp.Responses[i] == nil {
+			t.Fatalf("sample %d failed: %s", i, resp.Errors[i])
+		}
+		single, err := s.Diagnose(&reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resp.Responses[i].Causes[0], single.Causes[0]; got != want {
+			t.Fatalf("sample %d: top cause %+v, want %+v (answers out of order)", i, got, want)
 		}
 	}
 }

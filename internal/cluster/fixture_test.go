@@ -104,7 +104,7 @@ func startRealReplica(t testing.TB) *realReplica {
 // startRealReplicaWith boots a replica serving the given model.
 func startRealReplicaWith(t testing.TB, m *core.Model) *realReplica {
 	t.Helper()
-	e := serving.New(serving.Config{BatchMax: 8, BatchWait: time.Millisecond, QueueDepth: 256})
+	e := serving.New(serving.Config{BatchMax: 8, QueueDepth: 256})
 	if err := e.Registry().AddModel("boot", m); err != nil {
 		t.Fatal(err)
 	}

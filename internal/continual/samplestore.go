@@ -238,16 +238,21 @@ func (s *SampleStore) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("continual: compact rotate: %w", err)
 	}
+	payloads := make([][]byte, 0, s.total)
 	for _, key := range s.sortedKeys() {
 		for _, smp := range s.strata[key].samples {
 			payload, err := json.Marshal(smp)
 			if err != nil {
 				return err
 			}
-			if err := s.jn.Append(payload); err != nil {
-				return fmt.Errorf("continual: compact rewrite: %w", err)
-			}
+			payloads = append(payloads, payload)
 		}
+	}
+	// One write-then-sync for the whole rewrite: under FsyncAlways a
+	// per-record Append would fsync once per sample while s.mu blocks
+	// every reader. The old segments go only after the rewrite is synced.
+	if err := s.jn.AppendBatch(payloads); err != nil {
+		return fmt.Errorf("continual: compact rewrite: %w", err)
 	}
 	if err := s.jn.Sync(); err != nil {
 		return err

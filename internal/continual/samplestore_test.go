@@ -3,7 +3,9 @@ package continual
 import (
 	"testing"
 
+	"diagnet/internal/durable"
 	"diagnet/internal/probe"
+	"diagnet/internal/telemetry"
 )
 
 // mkSample builds a live sample under the given landmarks with a
@@ -114,6 +116,38 @@ func TestStoreCompactBoundsJournal(t *testing.T) {
 	defer s2.Close()
 	if s2.Len() != 4 || s2.Seen() != 4 {
 		t.Fatalf("after compact+replay Len=%d Seen=%d, want 4/4", s2.Len(), s2.Seen())
+	}
+}
+
+// TestStoreCompactSyncsOnce: compacting N buffered samples under
+// FsyncAlways costs O(1) journal syncs, not one per rewritten record —
+// compaction holds the store lock, so every sync stalls readers.
+func TestStoreCompactSyncsOnce(t *testing.T) {
+	const n = 64
+	s, err := OpenStore(StoreConfig{
+		Dir: t.TempDir(), PerStratum: n, Seed: 9, CompactEvery: -1, Fsync: durable.FsyncAlways,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < n; i++ {
+		if err := s.Ingest(mkSample(0, 1, []int{3}, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Len() != n {
+		t.Fatalf("buffered %d samples, want %d", s.Len(), n)
+	}
+	syncs := telemetry.Default().Counter("durable.journal.syncs")
+	before := syncs.Value()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	// Rotate seals the old segment (1), the rewrite syncs once (1), and the
+	// explicit pre-drop Sync (1).
+	if d := syncs.Value() - before; d > 3 {
+		t.Fatalf("compacting %d samples cost %d journal syncs, want at most 3", n, d)
 	}
 }
 

@@ -346,17 +346,51 @@ func (j *Journal) openSegmentLocked(idx uint64) error {
 // storage when Append returns — that return is the acknowledgement the
 // recovery invariants are stated in terms of.
 func (j *Journal) Append(payload []byte) error {
-	if len(payload) == 0 {
-		return errors.New("durable: empty record")
-	}
-	if len(payload) > j.opt.MaxRecordBytes {
-		return fmt.Errorf("durable: record %d bytes exceeds max %d", len(payload), j.opt.MaxRecordBytes)
+	return j.AppendBatch([][]byte{payload})
+}
+
+// AppendBatch writes records in order and applies the fsync policy once
+// for the whole batch: under FsyncAlways every record is on stable storage
+// when it returns, for one sync instead of one per record.
+func (j *Journal) AppendBatch(payloads [][]byte) error {
+	for _, p := range payloads {
+		if len(p) == 0 {
+			return errors.New("durable: empty record")
+		}
+		if len(p) > j.opt.MaxRecordBytes {
+			return fmt.Errorf("durable: record %d bytes exceeds max %d", len(p), j.opt.MaxRecordBytes)
+		}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return errors.New("durable: journal closed")
 	}
+	for _, p := range payloads {
+		if err := j.writeLocked(p); err != nil {
+			return err
+		}
+	}
+	crash(CrashPreSync) // full write in the page cache, not yet stable
+	switch j.opt.Fsync {
+	case FsyncAlways:
+		if err := j.syncLocked(); err != nil {
+			return err
+		}
+	case FsyncBatch:
+		if j.pending >= j.opt.BatchAppends {
+			if err := j.syncLocked(); err != nil {
+				return err
+			}
+		}
+	}
+	crash(CrashPostSync) // durable; the ack must survive from here on
+	return nil
+}
+
+// writeLocked writes one framed record to the open segment, rotating
+// first when it would overflow. Caller holds j.mu.
+func (j *Journal) writeLocked(payload []byte) error {
 	rec := int64(recHeaderBytes + len(payload))
 	if j.size+rec > j.opt.SegmentBytes && j.size > int64(len(segMagic)) {
 		if err := j.rotateLocked(); err != nil {
@@ -386,20 +420,6 @@ func (j *Journal) Append(payload []byte) error {
 	j.appended = true
 	j.pending++
 	mAppends.Inc()
-	crash(CrashPreSync) // full write in the page cache, not yet stable
-	switch j.opt.Fsync {
-	case FsyncAlways:
-		if err := j.syncLocked(); err != nil {
-			return err
-		}
-	case FsyncBatch:
-		if j.pending >= j.opt.BatchAppends {
-			if err := j.syncLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	crash(CrashPostSync) // durable; the ack must survive from here on
 	return nil
 }
 

@@ -51,6 +51,39 @@ func TestJournalAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalAppendBatchSyncsOnce: a batch under FsyncAlways is written
+// in order and acknowledged with a single sync.
+func TestJournalAppendBatchSyncsOnce(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch [][]byte
+	var want []string
+	for i := 0; i < 32; i++ {
+		rec := fmt.Sprintf("rec-%d", i)
+		batch = append(batch, []byte(rec))
+		want = append(want, rec)
+	}
+	before := mSyncs.Value()
+	if err := j.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if d := mSyncs.Value() - before; d != 1 {
+		t.Fatalf("AppendBatch of %d records cost %d syncs, want 1", len(batch), d)
+	}
+	if err := j.AppendBatch([][]byte{[]byte("ok"), nil}); err == nil {
+		t.Fatal("a batch with an empty record was accepted")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, dir); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed %v, want %v", got, want)
+	}
+}
+
 func TestJournalSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation every couple of records.

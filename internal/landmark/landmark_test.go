@@ -147,10 +147,15 @@ func TestServerConcurrentSafety(t *testing.T) {
 func TestSaturationSheddingLoad(t *testing.T) {
 	s := &Server{MaxConcurrentTransfers: 1}
 	gate := make(chan struct{})
-	// Wrap the handler so we can hold one download open.
+	heldServed := make(chan struct{})
+	// Wrap the handler so we can hold one download open, and learn when
+	// its handler has returned (and so released any slot it took).
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("hold") == "1" {
 			<-gate
+			s.Handler().ServeHTTP(w, r)
+			close(heldServed)
+			return
 		}
 		s.Handler().ServeHTTP(w, r)
 	})
@@ -197,8 +202,11 @@ func TestSaturationSheddingLoad(t *testing.T) {
 	release()
 	close(gate)
 	// Let the held background download drain its slot before checking
-	// that transfers flow again (it may legitimately grab it first).
+	// that transfers flow again (it may legitimately grab it first). The
+	// client finishing its read is not enough: the handler releases the
+	// slot in a deferred call that can still be pending then.
 	<-bgDone
+	<-heldServed
 	// After release, transfers flow again.
 	resp, err = http.Get(ts.URL + "/download?bytes=100")
 	if err != nil {

@@ -179,7 +179,7 @@ func BenchmarkShadowTee(b *testing.B) {
 	}{{"off", 0}, {"on", 0.05}, {"full", 1}}
 	for _, v := range variants {
 		b.Run(fmt.Sprintf("tee-%s/c16", v.name), func(b *testing.B) {
-			e := New(Config{BatchMax: 64, BatchWait: 2 * time.Millisecond, QueueDepth: 1024, Workers: 1})
+			e := New(Config{BatchMax: 64, QueueDepth: 1024, Workers: 1})
 			if err := e.Registry().AddModel("bench", m); err != nil {
 				b.Fatal(err)
 			}
@@ -210,35 +210,32 @@ func BenchmarkShadowTee(b *testing.B) {
 	}
 }
 
-// BenchmarkServeDirect is the pre-engine serving path: one shared model
-// behind a mutex, one forward/backward pass per request — exactly what
-// analysis.Server did before the serving engine existed, kept as the
-// baseline of results/BENCH_serving.json.
+// BenchmarkServeDirect is the unbatched baseline of
+// results/BENCH_serving.json: every client calls Model.Diagnose on the one
+// shared model concurrently (a Model is safe for concurrent use), one
+// forward/backward pass per request, with no queue and no batching.
 func BenchmarkServeDirect(b *testing.B) {
 	m, _ := benchFixture(b)
 	req := benchRequest(b)
-	var mu sync.Mutex
 	for _, c := range benchConcurrency {
 		b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
 			runConcurrent(b, c, func() {
-				mu.Lock()
 				m.Diagnose(req.Features, req.Layout)
-				mu.Unlock()
 			})
 		})
 	}
 }
 
-// BenchmarkServeBatched is the engine path: concurrent submissions are
-// coalesced into micro-batches and served with fused forward/backward
-// passes, so the network weights stream from memory once per batch instead
-// of once per request.
+// BenchmarkServeBatched is the engine path: concurrent submissions that
+// are already queued when a worker frees up are fused into one
+// forward/backward pass, so the network weights stream from memory once
+// per batch instead of once per request.
 func BenchmarkServeBatched(b *testing.B) {
 	m, _ := benchFixture(b)
 	req := benchRequest(b)
 	for _, c := range benchConcurrency {
 		b.Run(fmt.Sprintf("c%d", c), func(b *testing.B) {
-			e := New(Config{BatchMax: 64, BatchWait: 2 * time.Millisecond, QueueDepth: 1024, Workers: 1})
+			e := New(Config{BatchMax: 64, QueueDepth: 1024, Workers: 1})
 			if err := e.Registry().AddModel("bench", m); err != nil {
 				b.Fatal(err)
 			}

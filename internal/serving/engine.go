@@ -14,39 +14,95 @@ import (
 	"diagnet/internal/tracing"
 )
 
-// item is one queued submission.
+// item is one queued submission: one or more samples admitted together.
+// The dispatcher never splits a submission across batches, so one worker
+// settles all of its samples.
 type item struct {
 	ctx   context.Context
-	req   *Request
+	reqs  []*Request
 	qspan *tracing.Span // "serving.queue_wait": opened at admission, closed when a batch picks the item up (or on shed)
-	done  chan outcome  // buffered(1): workers never block on abandoned waiters
+
+	// res[k]/errs[k] hold sample k's outcome. They are written by whoever
+	// settles the item (dispatcher or worker) and read by the submitter
+	// only after done is closed.
+	res  []*Result
+	errs []error
+	left int           // samples not yet settled
+	done chan struct{} // closed once every sample is settled
 }
 
-type outcome struct {
-	res *Result
-	err error
+func newItem(ctx context.Context, reqs []*Request) *item {
+	return &item{
+		ctx:  ctx,
+		reqs: reqs,
+		res:  make([]*Result, len(reqs)),
+		errs: make([]error, len(reqs)),
+		left: len(reqs),
+		done: make(chan struct{}),
+	}
+}
+
+// settle records sample k's outcome and releases the submitter once the
+// last sample is in.
+func (it *item) settle(k int, res *Result, err error) {
+	it.res[k], it.errs[k] = res, err
+	if it.left--; it.left == 0 {
+		close(it.done)
+	}
+}
+
+// fail settles every sample with err and closes the queue-wait span.
+func (it *item) fail(err error) {
+	it.qspan.SetError(err)
+	it.qspan.End()
+	for k := range it.reqs {
+		it.settle(k, nil, err)
+	}
+}
+
+// wait blocks until the item is settled or ctx ends. An outcome that is
+// already in wins over a concurrent cancellation.
+func (it *item) wait(ctx context.Context) error {
+	select {
+	case <-it.done:
+		return nil
+	case <-ctx.Done():
+		select {
+		case <-it.done:
+			return nil
+		default:
+			return ctxErr(ctx)
+		}
+	}
 }
 
 // Engine is the batched inference engine: a bounded submission queue, a
-// dispatcher that coalesces submissions into adaptive micro-batches, and a
-// worker pool that executes them against the shared, read-only models.
-// See the package comment for the policy; see New for lifecycle.
+// dispatcher that coalesces whatever is already queued into micro-batches,
+// and a worker pool that executes them against the shared, read-only
+// models. See the package comment for the policy; see New for lifecycle.
 type Engine struct {
 	cfg Config
 	reg *Registry
 
-	// mu guards queue against send-after-close: Submit holds it shared for
-	// the enqueue, Close holds it exclusively around close(queue).
+	// mu guards queue against send-after-close: admission holds it shared
+	// for the enqueue, Close holds it exclusively around close(queue).
 	mu     sync.RWMutex
 	closed bool
 
+	// slots holds one token per queued sample, so QueueDepth bounds
+	// samples, not submissions; the dispatcher frees a submission's
+	// tokens when it picks it up. admit serializes blocking reservations,
+	// so two multi-sample submissions can never each hold half the free
+	// slots and wait on one another.
+	slots   chan struct{}
+	admit   chan struct{}
 	queue   chan *item
 	batches chan []*item
 
 	dispatcherWG sync.WaitGroup
 	workerWG     sync.WaitGroup
 
-	depth        atomic.Int64
+	depth        atomic.Int64 // queued samples
 	served       atomic.Int64
 	shedFull     atomic.Int64
 	shedExpired  atomic.Int64
@@ -69,23 +125,30 @@ type Engine struct {
 // immediately, but submissions fail with ErrNoModel until a version is
 // promoted through Registry(). Call Close to drain and stop.
 func New(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	e := &Engine{
-		cfg:      cfg,
-		reg:      NewRegistry(),
-		queue:    make(chan *item, cfg.QueueDepth),
-		batches:  make(chan []*item, cfg.Workers),
-		shadowCh: make(chan *shadowJob, cfg.QueueDepth),
-	}
+	e := build(cfg)
 	e.dispatcherWG.Add(1)
 	go e.dispatch()
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < e.cfg.Workers; w++ {
 		e.workerWG.Add(1)
 		go e.worker(w)
 	}
 	e.shadowWG.Add(1)
 	go e.shadowWorker()
 	return e
+}
+
+// build allocates an engine without starting any goroutine.
+func build(cfg Config) *Engine {
+	cfg = cfg.withDefaults()
+	return &Engine{
+		cfg:      cfg,
+		reg:      NewRegistry(),
+		slots:    make(chan struct{}, cfg.QueueDepth),
+		admit:    make(chan struct{}, 1),
+		queue:    make(chan *item, cfg.QueueDepth),
+		batches:  make(chan []*item, cfg.Workers),
+		shadowCh: make(chan *shadowJob, cfg.QueueDepth),
+	}
 }
 
 // Registry returns the engine's model registry.
@@ -117,16 +180,15 @@ func (e *Engine) Stats() Stats {
 // keeps a canceled hedge loser from displacing a live request out of a
 // micro-batch.
 func (e *Engine) shedDead(it *item, err error) {
+	n := int64(len(it.reqs))
 	if errors.Is(err, context.Canceled) {
-		e.shedCanceled.Add(1)
-		mShedCanceled.Inc()
+		e.shedCanceled.Add(n)
+		mShedCanceled.Add(n)
 	} else {
-		e.shedExpired.Add(1)
-		mShedExpired.Inc()
+		e.shedExpired.Add(n)
+		mShedExpired.Add(n)
 	}
-	it.qspan.SetError(err)
-	it.qspan.End()
-	it.done <- outcome{err: err}
+	it.fail(err)
 }
 
 // Submit enqueues one request and waits for its result. Admission is
@@ -135,75 +197,133 @@ func (e *Engine) shedDead(it *item, err error) {
 // convoy. The context bounds the whole wait; a request whose context
 // expires while queued is dropped before it reaches a model.
 func (e *Engine) Submit(ctx context.Context, req *Request) (*Result, error) {
-	return e.submit(ctx, req, false)
+	res, errs := e.submit(ctx, []*Request{req}, false)
+	return res[0], errs[0]
 }
 
 // SubmitWait is Submit with blocking admission: instead of shedding on a
-// full queue it waits for space (still bounded by ctx). Bulk paths — the
-// batch endpoint fanning one HTTP request into many submissions — use this
-// so a large batch squeezes through a small queue instead of shedding
-// itself.
+// full queue it waits for space (still bounded by ctx).
 func (e *Engine) SubmitWait(ctx context.Context, req *Request) (*Result, error) {
-	return e.submit(ctx, req, true)
+	res, errs := e.SubmitBatch(ctx, []*Request{req})
+	return res[0], errs[0]
 }
 
-func (e *Engine) submit(ctx context.Context, req *Request, wait bool) (*Result, error) {
+// SubmitBatch diagnoses a group of requests — the batch endpoint's whole
+// HTTP batch — and returns their results in input order, with a
+// per-sample error. The group is enqueued as whole submissions of at most
+// BatchMax samples each (and never more than QueueDepth), with blocking
+// admission like SubmitWait, so a large group squeezes through a small
+// queue instead of shedding itself and each submission lands in a batch
+// of its own samples without waiting on timers or goroutine scheduling.
+func (e *Engine) SubmitBatch(ctx context.Context, reqs []*Request) ([]*Result, []error) {
+	return e.submit(ctx, reqs, true)
+}
+
+func (e *Engine) submit(ctx context.Context, reqs []*Request, wait bool) ([]*Result, []error) {
+	res := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	fill := func(lo, hi int, err error) {
+		for i := lo; i < hi; i++ {
+			errs[i] = err
+		}
+	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		fill(0, len(reqs), err)
+		return res, errs
 	}
 	if e.reg.current() == nil {
-		return nil, ErrNoModel
+		fill(0, len(reqs), ErrNoModel)
+		return res, errs
 	}
-	// The queue-wait span covers admission through batch pickup; its End
-	// moves to whichever path settles the item (serveBatch/serveGroup on
-	// the worker, or the shed paths right here).
-	qctx, qspan := tracing.StartSpan(ctx, "serving.queue_wait")
-	it := &item{ctx: qctx, req: req, qspan: qspan, done: make(chan outcome, 1)}
-
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
-		qspan.SetError(ErrClosed)
-		qspan.End()
-		return nil, ErrClosed
-	}
-	if wait {
-		// Blocking enqueue under the read lock is safe: the dispatcher
-		// keeps draining the queue, so the send always makes progress and
-		// Close simply waits its turn behind us.
-		select {
-		case e.queue <- it:
-			e.mu.RUnlock()
-		case <-ctx.Done():
-			e.mu.RUnlock()
-			err := ctxErr(ctx)
+	size := min(e.cfg.BatchMax, e.cfg.QueueDepth)
+	var items []*item
+	for lo := 0; lo < len(reqs); lo += size {
+		hi := min(lo+size, len(reqs))
+		// The queue-wait span covers admission through batch pickup; its
+		// End moves to whichever path settles the item (serveGroup on the
+		// worker, or a shed path).
+		qctx, qspan := tracing.StartSpan(ctx, "serving.queue_wait")
+		it := newItem(qctx, reqs[lo:hi])
+		it.qspan = qspan
+		if err := e.enqueue(it, wait); err != nil {
 			qspan.SetError(err)
 			qspan.End()
-			return nil, err
+			fill(lo, len(reqs), err)
+			break
 		}
-	} else {
+		items = append(items, it)
+	}
+	for i, it := range items {
+		lo := i * size
+		if err := it.wait(ctx); err != nil {
+			// The item stays queued; the dispatcher or a worker will notice
+			// the dead context and drop it without diagnosing.
+			fill(lo, lo+len(it.reqs), err)
+			continue
+		}
+		copy(res[lo:], it.res)
+		copy(errs[lo:], it.errs)
+	}
+	return res, errs
+}
+
+// enqueue reserves one queue slot per sample of it and queues it. Without
+// wait a full queue sheds the submission with ErrQueueFull; with wait it
+// blocks for space, bounded by the item's context.
+func (e *Engine) enqueue(it *item, wait bool) error {
+	n := len(it.reqs)
+	if err := e.reserve(it.ctx, n, wait); err != nil {
+		if errors.Is(err, ErrQueueFull) {
+			e.shedFull.Add(int64(n))
+			mShedFull.Add(int64(n))
+		}
+		return err
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed {
+		e.release(n)
+		return ErrClosed
+	}
+	mQueueDepth.Set(float64(e.depth.Add(int64(n))))
+	e.queue <- it // never blocks: every queued item holds at least one slot
+	return nil
+}
+
+// reserve takes n queue slots, all or none.
+func (e *Engine) reserve(ctx context.Context, n int, wait bool) error {
+	if wait {
 		select {
-		case e.queue <- it:
-			e.mu.RUnlock()
-		default:
-			e.mu.RUnlock()
-			e.shedFull.Add(1)
-			mShedFull.Inc()
-			qspan.SetError(ErrQueueFull)
-			qspan.End()
-			return nil, ErrQueueFull
+		case e.admit <- struct{}{}:
+			defer func() { <-e.admit }()
+		case <-ctx.Done():
+			return ctxErr(ctx)
 		}
 	}
-	e.depth.Add(1)
-	mQueueDepth.Set(float64(e.depth.Load()))
+	for i := 0; i < n; i++ {
+		if wait {
+			select {
+			case e.slots <- struct{}{}:
+				continue
+			case <-ctx.Done():
+				e.release(i)
+				return ctxErr(ctx)
+			}
+		}
+		select {
+		case e.slots <- struct{}{}:
+		default:
+			e.release(i)
+			return ErrQueueFull
+		}
+	}
+	return nil
+}
 
-	select {
-	case out := <-it.done:
-		return out.res, out.err
-	case <-ctx.Done():
-		// The item stays queued; a worker will notice the dead context and
-		// drop it without diagnosing.
-		return nil, ctxErr(ctx)
+// release frees n queue slots.
+func (e *Engine) release(n int) {
+	for i := 0; i < n; i++ {
+		<-e.slots
 	}
 }
 
@@ -237,73 +357,74 @@ func (e *Engine) Close(ctx context.Context) error {
 	}
 }
 
-// dispatch coalesces queued items into micro-batches. A batch flushes when
-// it reaches BatchMax or when the adaptive wait expires, whichever first.
-// The wait is BatchWait scaled by an EWMA of recent batch occupancy: when
-// batches have been running near-empty (light load) the next lone request
-// waits only a sliver of BatchWait, and as soon as batches start filling
-// the wait stretches back out to coalesce harder. Under heavy backlog the
-// timer is moot — the fill loop drains the queue without ever parking.
+// pickup takes it off the queue: it frees the item's slots and settles it
+// on the spot if its caller is gone (a canceled hedge loser, an expired
+// deadline), so a dead item never seeds a batch or occupies a slot. It
+// reports whether the item is live.
+func (e *Engine) pickup(it *item) bool {
+	e.depth.Add(-int64(len(it.reqs)))
+	e.release(len(it.reqs))
+	if err := it.ctx.Err(); err != nil {
+		e.shedDead(it, err)
+		return false
+	}
+	return true
+}
+
+// dispatch coalesces queued submissions into micro-batches with zero
+// wait: it blocks for the first live submission, then takes without
+// blocking whatever else is already queued, up to BatchMax samples, and
+// flushes. No timer holds a lone request back. Under load the queue fills
+// while the workers are busy, so batches grow by themselves. Submissions
+// are never split: one that would overflow the current batch leads the
+// next.
 func (e *Engine) dispatch() {
 	defer e.dispatcherWG.Done()
 	defer close(e.batches)
 
-	// Start latency-biased: the first requests after boot are served
-	// almost immediately.
-	fill := 1 / float64(e.cfg.BatchMax)
+	var next *item // a live submission that did not fit the last batch
 	for {
-		// Pull the batch lead, settling abandoned items (canceled hedge
-		// losers, expired deadlines) on the spot: a dead item must not seed
-		// a batch, hold the adaptive-wait timer open, or occupy a slot.
-		var first *item
-		for first == nil {
+		lead := next
+		for lead == nil {
 			it, ok := <-e.queue
 			if !ok {
 				return
 			}
-			e.depth.Add(-1)
-			if err := it.ctx.Err(); err != nil {
-				e.shedDead(it, err)
-				continue
+			if e.pickup(it) {
+				lead = it
 			}
-			first = it
 		}
+		next = nil
 		start := time.Now()
-		batch := make([]*item, 1, e.cfg.BatchMax)
-		batch[0] = first
-
-		wait := time.Duration(fill * float64(e.cfg.BatchWait))
-		timer := time.NewTimer(wait)
-		closed := false
-	fillLoop:
-		for len(batch) < e.cfg.BatchMax {
+		batch, n := []*item{lead}, len(lead.reqs)
+		open := true
+	drain:
+		for n < e.cfg.BatchMax {
 			select {
 			case it, ok := <-e.queue:
 				if !ok {
-					closed = true
-					break fillLoop
+					open = false
+					break drain
 				}
-				e.depth.Add(-1)
-				if err := it.ctx.Err(); err != nil {
-					e.shedDead(it, err)
+				if !e.pickup(it) {
 					continue
 				}
+				if n+len(it.reqs) > e.cfg.BatchMax {
+					next = it
+					break drain
+				}
 				batch = append(batch, it)
-			case <-timer.C:
-				break fillLoop
+				n += len(it.reqs)
+			default:
+				break drain
 			}
 		}
-		timer.Stop()
-
-		// EWMA of occupancy adapts the next wait; α=0.25 follows load
-		// shifts within a handful of batches without jittering on one-offs.
-		fill = 0.75*fill + 0.25*float64(len(batch))/float64(e.cfg.BatchMax)
 		mQueueDepth.Set(float64(e.depth.Load()))
-		mBatchSize.Observe(float64(len(batch)))
-		mBatchWaitMs.Observe(telemetry.Millis(time.Since(start)))
+		mBatchSize.Observe(float64(n))
+		mBatchFormMs.Observe(telemetry.Millis(time.Since(start)))
 
 		e.batches <- batch
-		if closed {
+		if !open {
 			return
 		}
 	}
@@ -312,7 +433,7 @@ func (e *Engine) dispatch() {
 // worker executes micro-batches. Each batch is served by exactly one
 // registry snapshot (one atomic load), so responses are attributable to
 // exactly one model version even while a promotion swaps the pointer
-// mid-stream. Within a batch, items are grouped by (model, layout) and
+// mid-stream. Within a batch, samples are grouped by (model, layout) and
 // every group runs as one fused forward/backward pass on the shared model.
 func (e *Engine) worker(id int) {
 	defer e.workerWG.Done()
@@ -322,9 +443,18 @@ func (e *Engine) worker(id int) {
 	}
 }
 
-// serveBatch groups live items and diagnoses each group in one fused pass.
+// sample addresses one request inside a queued submission.
+type sample struct {
+	it *item
+	k  int
+}
+
+func (s sample) req() *Request { return s.it.reqs[s.k] }
+
+// serveBatch groups the live samples of a batch and diagnoses each group
+// in one fused pass.
 func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
-	live := batch[:0]
+	var live []sample
 	for _, it := range batch {
 		// Deadline-aware shedding: a request that died between batch
 		// formation and pickup is dropped here, before any model work.
@@ -333,69 +463,74 @@ func (e *Engine) serveBatch(snap *snapshot, worker int, batch []*item) {
 			continue
 		}
 		if snap == nil {
-			it.qspan.SetError(ErrNoModel)
-			it.qspan.End()
-			it.done <- outcome{err: ErrNoModel}
+			it.fail(ErrNoModel)
 			continue
 		}
-		live = append(live, it)
-	}
-	if len(live) == 0 {
-		return
+		for k := range it.reqs {
+			live = append(live, sample{it, k})
+		}
 	}
 
-	// Group by (model, layout): items served by the same model with the
-	// same landmark set share one batched inference. grouped tracks items
-	// already assigned.
+	// Group by (model, service, layout): samples served by the same model
+	// for the same service with the same landmark set share one batched
+	// inference (the service keeps provenance exact even when one model
+	// serves several services). grouped tracks samples already assigned.
 	grouped := make([]bool, len(live))
-	var members []*item
+	var members []sample
 	var features [][]float64
 	for i, lead := range live {
 		if grouped[i] {
 			continue
 		}
-		m, svc := snap.modelFor(lead.req.ServiceID)
+		m, svc := snap.modelFor(lead.req().ServiceID)
 		members = append(members[:0], lead)
-		features = append(features[:0], lead.req.Features)
+		features = append(features[:0], lead.req().Features)
 		for j := i + 1; j < len(live); j++ {
 			if grouped[j] {
 				continue
 			}
-			m2, _ := snap.modelFor(live[j].req.ServiceID)
-			if m2 == m && layoutEqual(lead.req.Layout, live[j].req.Layout) {
+			r := live[j].req()
+			m2, svc2 := snap.modelFor(r.ServiceID)
+			if m2 == m && svc2 == svc && layoutEqual(lead.req().Layout, r.Layout) {
 				grouped[j] = true
 				members = append(members, live[j])
-				features = append(features, live[j].req.Features)
+				features = append(features, r.Features)
 			}
 		}
-		e.serveGroup(snap, worker, m, svc, lead.req.Layout, members, features)
+		e.serveGroup(snap, worker, m, svc, lead.req().Layout, members, features)
 	}
 }
 
 // serveGroup runs one fused pass over a same-layout group, recovering a
-// panicking model into per-item errors instead of killing the worker.
+// panicking model into per-sample errors instead of killing the worker.
 //
 // Trace topology: the "serving.batch" span is a child of the group lead's
 // queue-wait span (the lead is always its own lead, so a lone request gets
 // the full route → queue_wait → batch → core.diagnose nesting), and
 // cross-links tie the fusion together — the batch span links to every
-// member's queue-wait span, and every non-lead member's queue-wait span
-// links back to the batch span that served it, so a member's trace still
-// reaches the shared inference work even though that work was recorded
-// under the lead's trace.
-func (e *Engine) serveGroup(snap *snapshot, worker int, m *core.Model, svc int, layout probe.Layout, members []*item, features [][]float64) {
-	lead := members[0]
+// member submission's queue-wait span, and every other member's queue-wait
+// span links back to the batch span that served it, so a member's trace
+// still reaches the shared inference work even though that work was
+// recorded under the lead's trace. A submission whose samples fall into
+// several groups links back to the first.
+func (e *Engine) serveGroup(snap *snapshot, worker int, m *core.Model, svc int, layout probe.Layout, members []sample, features [][]float64) {
+	lead := members[0].it
 	bctx, bspan := tracing.StartSpan(lead.ctx, "serving.batch")
 	bspan.SetAttr("batch.size", len(members))
 	bspan.SetAttr("model.version", snap.version)
 	bspan.SetAttr("worker", worker)
 	bref := bspan.Context()
-	for _, it := range members {
-		bspan.Link(it.qspan.Context())
-		if it != lead {
-			it.qspan.Link(bref)
+	var prev *item
+	for _, s := range members {
+		if s.it == prev {
+			continue // a submission's samples are contiguous in a group
 		}
-		it.qspan.End() // queue wait is over: the batch has picked the item up
+		prev = s.it
+		bspan.Link(s.it.qspan.Context())
+		if s.it != lead {
+			s.it.qspan.Link(bref)
+		}
+		s.it.qspan.End() // queue wait is over: the batch has picked the item up
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -403,10 +538,9 @@ func (e *Engine) serveGroup(snap *snapshot, worker int, m *core.Model, svc int, 
 			err := fmt.Errorf("serving: model panic: %v", rec)
 			bspan.SetError(err)
 			bspan.End()
-			for _, it := range members {
-				select {
-				case it.done <- outcome{err: err}:
-				default: // already answered before the panic
+			for _, s := range members {
+				if s.it.res[s.k] == nil { // not answered before the panic
+					s.it.settle(s.k, nil, err)
 				}
 			}
 		}
@@ -415,22 +549,22 @@ func (e *Engine) serveGroup(snap *snapshot, worker int, m *core.Model, svc int, 
 	diags := m.DiagnoseBatch(bctx, features, layout)
 	inferDur := time.Since(inferStart)
 	bspan.End()
-	for k, it := range members {
+	for k, s := range members {
 		e.served.Add(1)
 		mServed.Inc()
-		it.done <- outcome{res: &Result{
+		s.it.settle(s.k, &Result{
 			Diagnosis:    diags[k],
 			ModelService: svc,
 			Version:      snap.version,
-		}}
+		}, nil)
 	}
 	// Shadow tee, strictly after every member has its answer: a sampled
 	// copy of the group replays through the candidate off-path.
 	if e.ShadowTee() > 0 {
 		svcs := make([]int, len(members))
 		incCoarse := make([][]float64, len(members))
-		for k, it := range members {
-			svcs[k] = it.req.ServiceID
+		for k, s := range members {
+			svcs[k] = s.req().ServiceID
 			incCoarse[k] = diags[k].Coarse
 		}
 		e.maybeTee(svcs, layout, features, incCoarse, snap.version, inferDur)

@@ -9,7 +9,7 @@ import "diagnet/internal/telemetry"
 var (
 	mQueueDepth   = telemetry.Default().Gauge("serving.queue.depth")
 	mBatchSize    = telemetry.Default().Histogram("serving.batch.size", telemetry.SizeBuckets)
-	mBatchWaitMs  = telemetry.Default().Histogram("serving.batch.wait_ms", nil)
+	mBatchFormMs  = telemetry.Default().Histogram("serving.batch.wait_ms", nil)
 	mServed       = telemetry.Default().Counter("serving.requests.served")
 	mShedFull     = telemetry.Default().Counter("serving.shed.queue_full")
 	mShedExpired  = telemetry.Default().Counter("serving.shed.expired")

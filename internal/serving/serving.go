@@ -8,16 +8,19 @@
 // and no worker holds a clone or private buffers. The engine has three
 // pillars:
 //
-//   - Adaptive micro-batching. Concurrent Diagnose submissions land in a
-//     bounded queue and are coalesced into micro-batches (flush on
-//     max-batch-size or max-wait, whichever first). A worker diagnoses a
-//     batch's items that share a model and a layout with one fused
+//   - Zero-wait micro-batching. Submissions land in a bounded queue; a
+//     dispatcher blocks for the first one, takes whatever else is already
+//     queued (up to max-batch-size samples) and flushes at once — no timer
+//     holds a lone request back. Under load the queue fills while the
+//     workers are busy, so batches grow by themselves. A worker diagnoses
+//     a batch's samples that share a model and a layout with one fused
 //     forward and input-gradient pass over the whole b×n matrix
 //     (core.Model.DiagnoseBatch), so the network's weights are streamed
-//     once per batch instead of once per request. The wait adapts to
-//     load: an EWMA of recent batch occupancy scales it down, so a lone
-//     request under light load sees almost no added latency while a
-//     loaded queue coalesces aggressively.
+//     once per batch instead of once per request. A group of requests —
+//     the batch endpoint's whole HTTP batch — is submitted as one unit
+//     (Engine.SubmitBatch) of at most max-batch-size samples per
+//     submission, and the dispatcher never splits a submission, so bulk
+//     work is coalesced by construction.
 //
 //   - Versioned model registry. Named model versions (general + per-service
 //     specialized bundles) are loaded from disk or memory, each model
@@ -26,7 +29,7 @@
 //     and service specialization. Every response is attributable to
 //     exactly one version; rollback re-promotes the previous one.
 //
-//   - Admission control. The queue is bounded: overflow is shed
+//   - Admission control. The queue is bounded in samples: overflow is shed
 //     immediately (the analysis plane maps it to 429 + Retry-After),
 //     requests whose deadline expired while queued are dropped before
 //     wasting a worker, and Close drains in-flight work before returning.
@@ -60,13 +63,10 @@ var (
 
 // Config tunes the engine. The zero value selects the documented defaults.
 type Config struct {
-	// BatchMax is the micro-batch size cap (default 32).
+	// BatchMax caps a micro-batch, and a submission, in samples
+	// (default 32).
 	BatchMax int
-	// BatchWait is the longest a batch collects before flushing partially
-	// filled (default 2ms). The effective wait adapts below this under
-	// light load, so single requests see ~no added latency.
-	BatchWait time.Duration
-	// QueueDepth bounds the submission queue; non-blocking submissions
+	// QueueDepth bounds the queued samples; non-blocking submissions
 	// beyond it are shed (default 256).
 	QueueDepth int
 	// Workers sizes the worker pool (default GOMAXPROCS).
@@ -77,9 +77,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 32
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256

@@ -10,17 +10,12 @@ import (
 
 // TestSubmitShedsOnFullQueue pins the non-blocking admission path: with the
 // queue at capacity, Submit must return ErrQueueFull immediately and count
-// the shed. The engine is built by hand without a dispatcher so the queue
-// stays full deterministically instead of racing a drain.
+// the shed. The engine is built without a dispatcher so the queue stays
+// full deterministically instead of racing a drain.
 func TestSubmitShedsOnFullQueue(t *testing.T) {
 	m, _ := fixture(t)
-	cfg := Config{QueueDepth: 2}.withDefaults()
-	e := &Engine{
-		cfg:     cfg,
-		reg:     NewRegistry(),
-		queue:   make(chan *item, cfg.QueueDepth),
-		batches: make(chan []*item, 1),
-	}
+	e := build(Config{QueueDepth: 2})
+	cfg := e.cfg
 	if err := e.reg.AddModel("boot", m); err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +62,67 @@ func TestSubmitShedsOnFullQueue(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchBlocksOnFullQueue: QueueDepth bounds samples, and a
+// submission larger than the space left waits for room instead of
+// shedding. The engine has no dispatcher, so the test frees the room.
+func TestSubmitBatchBlocksOnFullQueue(t *testing.T) {
+	m, _ := fixture(t)
+	e := build(Config{BatchMax: 4, QueueDepth: 4})
+	if err := e.reg.AddModel("boot", m); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.reg.Promote("boot"); err != nil {
+		t.Fatal(err)
+	}
+	req := sampleRequest(t)
+	for i := 0; i < 2; i++ {
+		if err := e.enqueue(newItem(context.Background(), []*Request{req}), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan []error, 1)
+	go func() {
+		_, errs := e.SubmitBatch(ctx, []*Request{req, req, req, req})
+		done <- errs
+	}()
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case errs := <-done:
+		t.Fatalf("4 samples against 2 free slots returned %v instead of waiting", errs)
+	default:
+	}
+	if s := e.Stats(); s.ShedFull != 0 || s.QueueDepth != 2 {
+		t.Fatalf("stats %+v: want no shed and 2 queued samples", s)
+	}
+
+	// Take the two singles off the queue, as the dispatcher would: the
+	// waiting submission is admitted whole.
+	for i := 0; i < 2; i++ {
+		e.pickup(<-e.queue)
+	}
+	waitQueued(t, e, 1)
+	if it := <-e.queue; len(it.reqs) != 4 {
+		t.Fatalf("admitted a submission of %d samples, want 4", len(it.reqs))
+	}
+	cancel()
+	for i, err := range <-done {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("sample %d: %v, want context.Canceled", i, err)
+		}
+	}
+	if s := e.Stats(); s.ShedFull != 0 {
+		t.Fatalf("ShedFull = %d, want 0", s.ShedFull)
+	}
+}
+
 // TestExpiredRequestNeverReachesAWorker pins deadline-aware shedding: an
 // item whose deadline ran out while queued is dropped before any model
 // work, counted as an expired shed, never as served.
 func TestExpiredRequestNeverReachesAWorker(t *testing.T) {
-	e := newEngine(t, Config{BatchMax: 4, BatchWait: time.Millisecond})
+	e := newEngine(t, Config{BatchMax: 4})
 	req := sampleRequest(t)
 	before := e.Stats()
 
@@ -79,13 +130,15 @@ func TestExpiredRequestNeverReachesAWorker(t *testing.T) {
 	// queue holds after a caller's deadline fires while waiting.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	it := &item{ctx: ctx, req: req, done: make(chan outcome, 1)}
-	e.queue <- it
-	out := <-it.done
-	if !errors.Is(out.err, context.DeadlineExceeded) {
-		t.Fatalf("outcome err = %v, want context.DeadlineExceeded", out.err)
+	it := newItem(ctx, []*Request{req})
+	if err := e.enqueue(it, false); err != nil {
+		t.Fatal(err)
 	}
-	if out.res != nil {
+	<-it.done
+	if !errors.Is(it.errs[0], context.DeadlineExceeded) {
+		t.Fatalf("outcome err = %v, want context.DeadlineExceeded", it.errs[0])
+	}
+	if it.res[0] != nil {
 		t.Fatal("expired request produced a diagnosis")
 	}
 	after := e.Stats()
@@ -111,38 +164,42 @@ func TestExpiredRequestNeverReachesAWorker(t *testing.T) {
 // batch formation, counted under ShedCanceled (not ShedExpired, not
 // Served), and its BatchMax slot goes to a live request instead.
 func TestCanceledHedgeLoserFreesBatchSlot(t *testing.T) {
-	// BatchWait is deliberately huge: with BatchMax=2, the only way the
-	// batch flushes promptly is by filling both slots with live items. If
-	// the canceled loser consumed a slot, the second live request would sit
-	// out a 30s wait in the next batch and the test would time out below.
-	e := newEngine(t, Config{BatchMax: 2, BatchWait: 30 * time.Second, Workers: 1})
+	// The worker is held busy while the queue fills to [loser, A, B]. With
+	// BatchMax=2 the next batch must be exactly {A, B}: if the canceled
+	// loser seeded it or took a slot, B would be left for a later batch.
+	e := heldEngine(t, Config{BatchMax: 2})
 	req := sampleRequest(t)
+	blocker := hold(t, e)
 	before := e.Stats()
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	loser := &item{ctx: canceled, req: req, done: make(chan outcome, 1)}
-	liveA := &item{ctx: context.Background(), req: req, done: make(chan outcome, 1)}
-	liveB := &item{ctx: context.Background(), req: req, done: make(chan outcome, 1)}
+	loser := newItem(canceled, []*Request{req})
+	liveA := newItem(context.Background(), []*Request{req})
+	liveB := newItem(context.Background(), []*Request{req})
 	// Queue order: the dead hedge loser first, so it would both seed the
 	// batch and take a slot if the dispatcher did not settle it.
-	e.queue <- loser
-	e.queue <- liveA
-	e.queue <- liveB
-
-	out := <-loser.done
-	if !errors.Is(out.err, context.Canceled) {
-		t.Fatalf("loser outcome = %v, want context.Canceled", out.err)
+	for _, it := range []*item{loser, liveA, liveB} {
+		if err := e.enqueue(it, false); err != nil {
+			t.Fatal(err)
+		}
 	}
-	deadline := time.After(5 * time.Second)
+	if got := <-e.batches; len(got) != 1 || got[0] != blocker {
+		t.Fatalf("first batch %v, want the blocker alone", got)
+	}
+	batch := <-e.batches
+	if len(batch) != 2 || batch[0] != liveA || batch[1] != liveB {
+		t.Fatalf("batch after the loser holds %d items, want exactly [A B]: the canceled loser consumed a batch slot", len(batch))
+	}
+	<-loser.done
+	if !errors.Is(loser.errs[0], context.Canceled) {
+		t.Fatalf("loser outcome = %v, want context.Canceled", loser.errs[0])
+	}
+	e.serveBatch(e.reg.current(), 0, batch)
 	for _, it := range []*item{liveA, liveB} {
-		select {
-		case out := <-it.done:
-			if out.err != nil || out.res == nil {
-				t.Fatalf("live request failed: %v", out.err)
-			}
-		case <-deadline:
-			t.Fatal("live request starved: the canceled loser consumed its batch slot")
+		<-it.done
+		if it.errs[0] != nil || it.res[0] == nil {
+			t.Fatalf("live request failed: %v", it.errs[0])
 		}
 	}
 	after := e.Stats()
@@ -163,7 +220,7 @@ func TestCanceledHedgeLoserFreesBatchSlot(t *testing.T) {
 // result — and Close itself returns once the queue is drained.
 func TestCloseDrainsInFlight(t *testing.T) {
 	m, _ := fixture(t)
-	e := New(Config{BatchMax: 4, BatchWait: 5 * time.Millisecond, Workers: 2})
+	e := New(Config{BatchMax: 4, Workers: 2})
 	if err := e.Registry().AddModel("boot", m); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func startReplica(index int, model *core.Model, stateDir string) (*replica, erro
 // boot builds the stack (engine, recovery, server) and serves on ln.
 // Caller holds no locks.
 func (r *replica) boot(ln net.Listener) error {
-	e := serving.New(serving.Config{BatchMax: 8, BatchWait: time.Millisecond, QueueDepth: 256})
+	e := serving.New(serving.Config{BatchMax: 8, QueueDepth: 256})
 	fail := func(stage string, err error) error {
 		e.Close(context.Background())
 		return fmt.Errorf("soak: replica %d %s: %w", r.index, stage, err)
